@@ -8,17 +8,33 @@ namespace tir::binio {
 
 namespace {
 
-constexpr std::array<std::uint32_t, 256> make_crc_table() {
-  std::array<std::uint32_t, 256> table{};
+// Slicing-by-8 tables: kCrcTables[0] is the classic bytewise table of the
+// reflected polynomial; kCrcTables[k][n] is the CRC of byte n followed by k
+// zero bytes, so eight table lookups fold eight input bytes at once.
+using CrcTables = std::array<std::array<std::uint32_t, 256>, 8>;
+
+constexpr CrcTables make_crc_tables() {
+  CrcTables t{};
   for (std::uint32_t n = 0; n < 256; ++n) {
     std::uint32_t c = n;
     for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-    table[n] = c;
+    t[0][n] = c;
   }
-  return table;
+  for (std::size_t k = 1; k < t.size(); ++k) {
+    for (std::uint32_t n = 0; n < 256; ++n) {
+      t[k][n] = (t[k - 1][n] >> 8) ^ t[0][t[k - 1][n] & 0xFFu];
+    }
+  }
+  return t;
 }
 
-constexpr auto kCrcTable = make_crc_table();
+constexpr CrcTables kCrcTables = make_crc_tables();
+
+/// Little-endian 32-bit load, independent of host byte order and alignment.
+inline std::uint32_t load_le32(const std::uint8_t* p) {
+  return static_cast<std::uint32_t>(p[0]) | static_cast<std::uint32_t>(p[1]) << 8 |
+         static_cast<std::uint32_t>(p[2]) << 16 | static_cast<std::uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
@@ -53,8 +69,15 @@ std::int64_t get_varint_signed(const std::uint8_t* data, std::size_t size, std::
 
 std::uint32_t crc32(const void* data, std::size_t size, std::uint32_t seed) {
   const auto* p = static_cast<const std::uint8_t*>(data);
+  const CrcTables& t = kCrcTables;
   std::uint32_t c = seed ^ 0xFFFFFFFFu;
-  for (std::size_t i = 0; i < size; ++i) c = kCrcTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const std::uint32_t lo = c ^ load_le32(p);
+    const std::uint32_t hi = load_le32(p + 4);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^
+        t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   return c ^ 0xFFFFFFFFu;
 }
 

@@ -25,7 +25,9 @@
 // simulated time it was last materialized), and the engine's time heap keys
 // on `heap_key`, the projected completion time anchor + remaining / rate.
 // Between rate changes nothing is touched — an activity whose rate never
-// changes costs O(log n) over its whole lifetime, not O(steps).
+// changes costs at most O(log n) over its whole lifetime, not O(steps), and
+// nothing beyond a FIFO append when it rides a constant-delay lane
+// (timeheap.hpp).
 #pragma once
 
 #include <coroutine>
@@ -148,6 +150,7 @@ struct Activity {
 
   Kind kind = Kind::Gate;
   State state = State::Pending;
+  std::int8_t lane = -1;      ///< constant-delay lane in the time heap, -1 if none
   std::uint64_t seq = 0;      ///< creation sequence (debugging/determinism)
   std::int32_t run_slot = -1; ///< index in the engine's running set, -1 if absent
   std::int32_t heap_slot = -1;  ///< index in the engine's time heap, -1 if absent

@@ -291,7 +291,7 @@ ActivityPtr Engine::make_gate() {
 void Engine::start_comm(Activity* a) {
   if (a->latency_left > 0.0) {
     a->heap_key = now_ + a->latency_left;
-    heap_.insert(a);
+    heap_.insert_lane(a, a->latency_left);
   } else {
     begin_transfer(a);
   }
@@ -304,20 +304,23 @@ void Engine::begin_transfer(Activity* a) {
     // No contention model applies: the flow runs at its own bound forever.
     a->rate = a->bw_bound;
     a->anchor = now_;
-    a->heap_key = now_ + a->remaining / a->rate;
-  } else {
-    const int id = solver_.add_flow(a->route->links, a->bw_bound);
-    a->flow_id = id;
-    if (static_cast<std::size_t>(id) >= flow_acts_.size()) {
-      flow_acts_.resize(static_cast<std::size_t>(id) + 1, nullptr);
-    }
-    flow_acts_[static_cast<std::size_t>(id)] = a;
-    // Rate arrives with the next refresh (the flow's component is dirty by
-    // construction); parked at infinity meanwhile.
-    a->rate = 0.0;
-    a->anchor = now_;
-    a->heap_key = kInf;
+    const double duration = a->remaining / a->rate;
+    a->heap_key = now_ + duration;
+    heap_.insert_lane(a, duration);
+    return;
   }
+  const int id = solver_.add_flow(a->route->links, a->bw_bound);
+  a->flow_id = id;
+  if (static_cast<std::size_t>(id) >= flow_acts_.size()) {
+    flow_acts_.resize(static_cast<std::size_t>(id) + 1, nullptr);
+  }
+  flow_acts_[static_cast<std::size_t>(id)] = a;
+  // Rate arrives with the next refresh (the flow's component is dirty by
+  // construction); parked at infinity meanwhile, on the heap: the solver
+  // retimes it.
+  a->rate = 0.0;
+  a->anchor = now_;
+  a->heap_key = kInf;
   heap_.insert(a);
 }
 
@@ -329,7 +332,7 @@ void Engine::start_activity(const ActivityPtr& act) {
 }
 
 void Engine::release_resources(Activity& act) {
-  if (act.heap_slot >= 0) heap_.remove(&act);
+  if (heap_.contains(&act)) heap_.remove(&act);
   switch (act.kind) {
     case Activity::Kind::Exec: {
       const auto c = static_cast<std::size_t>(act.core_index);

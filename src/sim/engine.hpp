@@ -14,7 +14,8 @@
 //
 // The kernel is incremental (see docs/simulation_kernel.md): activity
 // progress is projected lazily (Activity::anchor/heap_key), the next event
-// comes from an indexed min-heap instead of a linear scan, rate refreshes
+// comes from an indexed min-heap instead of a linear scan — message phases
+// of equal duration share one heap slot through a FIFO lane — rate refreshes
 // touch only dirtied cores and — under Resolve::Incremental — only the
 // dirtied components of the max-min sharing graph, and activity allocations
 // are pooled.  Per-event cost is O(changed · log n), not O(running flows).
@@ -161,6 +162,10 @@ class Engine {
   SimTime now() const { return now_; }
   std::uint64_t steps() const { return steps_; }            ///< time advances
   std::uint64_t activities_created() const { return seq_; } ///< total activities
+  /// Event-queue work (sim/timeheap.hpp): entries pushed onto the time heap,
+  /// and comm phases queued behind a constant-delay lane's tail instead.
+  std::uint64_t heap_inserts() const { return heap_.heap_inserts(); }
+  std::uint64_t lane_appends() const { return heap_.lane_appends(); }
   /// Solver instrumentation (partial/full solve counts, flows visited).
   const MaxMinSolver::Counters& solver_counters() const { return solver_.counters(); }
   /// Activity blocks obtained from the system allocator; plateaus once the

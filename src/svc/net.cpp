@@ -216,10 +216,22 @@ bool LineConn::write_line(const std::string& line) {
 Listener::Listener(const std::string& endpoint) {
   const Parsed p = parse_endpoint(endpoint);
   if (p.is_unix) {
-    ::unlink(p.path.c_str());
+    const sockaddr_un addr = make_unix_addr(p.path);
+    // Probe before unlinking: a socket file a live daemon still listens on
+    // must not be stolen from it.  Only a stale file (connection refused)
+    // is removed; any other probe failure leaves the path for bind() to
+    // report.
+    const int probe = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    if (probe < 0) fail("socket(unix)");
+    const int rc = ::connect(probe, reinterpret_cast<const sockaddr*>(&addr), sizeof addr);
+    const int probe_errno = errno;
+    ::close(probe);
+    if (rc == 0) {
+      throw ConfigError("endpoint unix:" + p.path + " is already served by a listening process");
+    }
+    if (probe_errno == ECONNREFUSED) ::unlink(p.path.c_str());
     fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (fd_ < 0) fail("socket(unix)");
-    const sockaddr_un addr = make_unix_addr(p.path);
     if (::bind(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) < 0) {
       fail("bind " + p.path);
     }

@@ -79,8 +79,9 @@ class LineConn {
 /// Listening socket for either endpoint flavour.
 class Listener {
  public:
-  /// Bind + listen.  A unix: path is unlinked first (stale socket files from
-  /// a killed daemon must not block restarts).
+  /// Bind + listen.  A unix: path is probed first: if a process still
+  /// listens on it, throws ConfigError naming the endpoint; a stale socket
+  /// file (from a killed daemon) is unlinked so it cannot block restarts.
   explicit Listener(const std::string& endpoint);
   ~Listener() { close(); }
 

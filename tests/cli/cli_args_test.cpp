@@ -10,12 +10,35 @@
 #include <filesystem>
 #include <string>
 
+#include "support/temp_dir.hpp"
 #include "tit/trace.hpp"
 #include "titio/writer.hpp"
 
 namespace {
 
 namespace fs = std::filesystem;
+
+/// This process's scratch directory (the fixture trace and every output),
+/// removed when the test program ends.
+const fs::path& scratch_dir() {
+  static const fs::path dir = [] {
+    fs::path d = tir::test::unique_temp_dir("cli_args");
+    fs::create_directories(d);
+    return d;
+  }();
+  return dir;
+}
+
+class RemoveScratchDir : public ::testing::Environment {
+ public:
+  void TearDown() override {
+    std::error_code ec;
+    fs::remove_all(scratch_dir(), ec);
+  }
+};
+
+[[maybe_unused]] ::testing::Environment* const kRemoveScratchDir =
+    ::testing::AddGlobalTestEnvironment(new RemoveScratchDir);
 
 int run(const std::string& command) {
   // Quiet: these invocations are EXPECTED to complain on stderr.
@@ -25,7 +48,7 @@ int run(const std::string& command) {
 
 std::string titb_fixture() {
   static const std::string path = [] {
-    const fs::path p = fs::temp_directory_path() / "cli_args_fixture.titb";
+    const fs::path p = scratch_dir() / "fixture.titb";
     tir::tit::Trace trace = tir::tit::parse_trace_string(
         "p0 compute 1e7\np0 send p1 1024\np0 recv p1 1024\n"
         "p1 compute 1e7\np1 recv p0 1024\np1 send p0 1024\n",
@@ -73,7 +96,7 @@ TEST(CliArgs, ProfileRejectsMalformedWindows) {
 }
 
 TEST(CliArgs, ProfileRunsColdAndWindowed) {
-  const fs::path out = fs::temp_directory_path() / "cli_args_profile_out";
+  const fs::path out = scratch_dir() / "profile_out";
   const std::string profile = TIR_PROFILE;
   const std::string tail = " -o " + out.string() + " " + titb_fixture();
   EXPECT_EQ(run(profile + tail), 0);
@@ -133,7 +156,7 @@ TEST(CliArgs, TitConvertRejectsBadModesAndNprocs) {
 
 TEST(CliArgs, TitConvertRoundTripsAndValidates) {
   const std::string convert = TIR_TIT_CONVERT;
-  const fs::path dir = fs::temp_directory_path() / "cli_args_convert_out";
+  const fs::path dir = scratch_dir() / "convert_out";
   fs::create_directories(dir);
   EXPECT_EQ(run(convert + " info " + titb_fixture()), 0);
   EXPECT_EQ(run(convert + " validate " + titb_fixture()), 0);

@@ -2,6 +2,8 @@
 // start (rendezvous-style), loopback, and contention between flows.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "platform/clusters.hpp"
 #include "sim/engine.hpp"
 
@@ -172,6 +174,40 @@ TEST(Comm, CrossCabinetLatencyIsLarger) {
   eng.run();
   EXPECT_NEAR(same, 2e-4, 1e-6);
   EXPECT_NEAR(cross, 2e-4 + 1e-4, 1e-6);
+}
+
+TEST(Comm, EqualMessagesShareConstantDelayLanes) {
+  const platform::Platform p = quad();
+  for (const Sharing sharing : {Sharing::Uncontended, Sharing::MaxMin}) {
+    Engine eng(p, EngineConfig{sharing});
+    constexpr int kMessages = 5;
+    std::vector<double> done;
+    eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
+      std::vector<ActivityPtr> comms;
+      // Three destinations, one route latency and bandwidth: one duration.
+      for (int i = 0; i < kMessages; ++i) {
+        comms.push_back(ctx.engine().make_comm(0, 1 + i % 3, 1e6));
+      }
+      for (const ActivityPtr& c : comms) {
+        co_await ctx.wait(c);
+        done.push_back(ctx.now());
+      }
+    });
+    eng.run();
+    ASSERT_EQ(done.size(), static_cast<std::size_t>(kMessages));
+    if (sharing == Sharing::Uncontended) {
+      for (const double t : done) EXPECT_NEAR(t, 2e-4 + 1e-2, 1e-12);
+      // One latency lane and one transfer lane: only their heads take heap
+      // slots, the other 2 x 4 phases queue behind them.
+      EXPECT_EQ(eng.heap_inserts(), 2u);
+      EXPECT_EQ(eng.lane_appends(), 2u * (kMessages - 1));
+    } else {
+      // Latency phases still share a lane; max-min flows, retimed by the
+      // solver, always take heap slots.
+      EXPECT_EQ(eng.heap_inserts(), 1u + kMessages);
+      EXPECT_EQ(eng.lane_appends(), kMessages - 1u);
+    }
+  }
 }
 
 }  // namespace

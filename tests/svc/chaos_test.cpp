@@ -20,6 +20,7 @@
 
 #include "base/error.hpp"
 #include "base/fault.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
 #include "tit/trace.hpp"
@@ -33,7 +34,7 @@ namespace fs = std::filesystem;
 class SvcChaosBase : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "tird_chaos";
+    dir_ = test::unique_temp_dir("tird_chaos");
     fs::create_directories(dir_);
     trace_path_ = (dir_ / "t.titb").string();
     titio::write_binary_trace(tit::parse_trace_string(

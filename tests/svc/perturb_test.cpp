@@ -11,6 +11,7 @@
 
 #include "base/error.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -25,7 +26,7 @@ namespace fs = std::filesystem;
 class SvcPerturb : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "tird_perturb_test";
+    dir_ = test::unique_temp_dir("tird_perturb_test");
     fs::create_directories(dir_);
     trace_path_ = (dir_ / "t.titb").string();
     titio::write_binary_trace(tit::parse_trace_string(

@@ -6,7 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -16,6 +21,7 @@
 #include "base/fault.hpp"
 #include "obs/sweep.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
 #include "svc/client.hpp"
 #include "tit/trace.hpp"
 #include "titio/writer.hpp"
@@ -37,7 +43,7 @@ tit::Trace two_rank_trace() {
 class SvcServer : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = fs::path(::testing::TempDir()) / "tird_test";
+    dir_ = test::unique_temp_dir("tird_test");
     fs::create_directories(dir_);
     trace_path_ = (dir_ / "t.titb").string();
     titio::write_binary_trace(two_rank_trace(), trace_path_);
@@ -75,6 +81,18 @@ class SvcServer : public ::testing::Test {
     request.calibration.instance_class = 'A';
     request.calibration.instance_nprocs = 2;
     return request;
+  }
+
+  /// Read a submission's response lines up to its admission verdict
+  /// ("accepted" or "rejected"); an empty Json if the connection ends first.
+  static Json read_admission(LineConn& conn) {
+    std::string line;
+    while (conn.read_line(line)) {
+      const Json response = Json::parse(line);
+      const std::string type = response.str_or("type", "");
+      if (type == "accepted" || type == "rejected") return response;
+    }
+    return Json();
   }
 
   fs::path dir_;
@@ -194,16 +212,6 @@ TEST_F(SvcServer, FullQueueRejectsWithRetryAfter) {
   LineConn second = dial(server.endpoint());
   LineConn third = dial(server.endpoint());
 
-  const auto read_admission = [](LineConn& conn) {
-    std::string line;
-    while (conn.read_line(line)) {
-      const Json response = Json::parse(line);
-      const std::string type = response.str_or("type", "");
-      if (type == "accepted" || type == "rejected") return response;
-    }
-    return Json();
-  };
-
   ASSERT_TRUE(first.write_line(render_request(slow_job())));
   const Json a1 = read_admission(first);
   ASSERT_EQ(a1.str_or("type", ""), "accepted");
@@ -237,6 +245,9 @@ TEST_F(SvcServer, ShutdownDrainsAdmittedJobs) {
   // job must still stream its complete response.
   LineConn conn = dial(server.endpoint());
   ASSERT_TRUE(conn.write_line(render_request(slow_job())));
+  // Wait for the admission line first: a shutdown sent earlier can overtake
+  // the job's admission, and only admitted jobs are promised a drain.
+  ASSERT_EQ(read_admission(conn).str_or("type", ""), "accepted");
 
   Client control(server.endpoint());
   ASSERT_TRUE(control.shutdown_server());
@@ -267,6 +278,8 @@ TEST_F(SvcServer, DeadlineExpiredInQueueFailsCancelled) {
   // expires while it waits in the queue — deterministic, no sleeps.
   LineConn blocker = dial(server.endpoint());
   ASSERT_TRUE(blocker.write_line(render_request(slow_job())));
+  // Admitted before the deadlined job is submitted, so it runs first.
+  ASSERT_EQ(read_admission(blocker).str_or("type", ""), "accepted");
 
   Client client(server.endpoint());
   JobRequest deadlined = simple_job();
@@ -467,6 +480,58 @@ TEST(SvcAggregator, JobTimingRollsUpQueueWait) {
   const std::vector<obs::SweepAggregator::Entry> entries = aggregator.entries();
   ASSERT_EQ(entries.size(), 3u);
   EXPECT_DOUBLE_EQ(entries[1].timing.queue_wait_seconds, 0.030);
+}
+
+TEST_F(SvcServer, SecondListenerRefusesALiveSocket) {
+  const std::string ep = endpoint("live.sock");
+  Listener first(ep);
+  try {
+    Listener second(ep);
+    ADD_FAILURE() << "a second listener took over a live socket";
+  } catch (const ConfigError& e) {
+    EXPECT_NE(std::string(e.what()).find(ep), std::string::npos) << e.what();
+  }
+  // The first listener still owns the path and accepts dials.  (The
+  // refused listener's probe left one closed connection in its backlog;
+  // it reads as EOF and is skipped.)
+  std::thread acceptor([&] {
+    for (;;) {
+      LineConn peer = first.accept();
+      std::string request;
+      if (peer.read_line(request)) {
+        peer.write_line(request + " back");
+        return;
+      }
+    }
+  });
+  LineConn conn = dial(ep);
+  EXPECT_TRUE(conn.write_line("hello"));
+  std::string line;
+  EXPECT_TRUE(conn.read_line(line));
+  EXPECT_EQ(line, "hello back");
+  acceptor.join();
+  // Once it closes, the path is free again.
+  first.close();
+  EXPECT_NO_THROW(Listener third(ep));
+}
+
+TEST_F(SvcServer, ListenerReplacesAStaleSocketFile) {
+  // A socket file nobody listens on, as a killed daemon leaves behind.
+  const std::string path = (dir_ / "stale.sock").string();
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  ASSERT_LT(path.size(), sizeof addr.sun_path);
+  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
+  ASSERT_EQ(::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof addr), 0);
+  ::close(fd);
+  ASSERT_TRUE(fs::exists(path));
+
+  Listener listener("unix:" + path);
+  std::thread acceptor([&] { listener.accept(); });
+  EXPECT_NO_THROW(dial("unix:" + path));
+  acceptor.join();
 }
 
 }  // namespace
