@@ -74,11 +74,11 @@ void BM_MaxMinContention(benchmark::State& state) {
   for (auto _ : state) {
     sim::Engine eng(p, sim::EngineConfig{sim::Sharing::MaxMin});
     eng.spawn("driver", 0, 0, [n](sim::Ctx& ctx) -> sim::Coro {
-      std::vector<sim::ActivityPtr> comms;
+      std::vector<sim::ActivityHandle> comms;
       for (int i = 0; i < n; ++i) {
         comms.push_back(ctx.engine().make_comm(i, (i + 1) % n, 1e6));
       }
-      for (auto& c : comms) co_await ctx.wait(std::move(c));
+      for (const sim::ActivityHandle c : comms) co_await ctx.wait(c);
     });
     eng.run();
   }

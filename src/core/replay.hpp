@@ -130,6 +130,9 @@ struct ReplayResult {
   double simulated_time = 0.0;       ///< the prediction (seconds)
   std::uint64_t actions_replayed = 0;
   std::uint64_t engine_steps = 0;
+  /// Activities the engine created (execs, comms, timers, gates): a
+  /// deterministic work counter, and the time queue's tiebreak sequence.
+  std::uint64_t activities_created = 0;
   double wall_clock_seconds = 0.0;   ///< replay efficiency (host time)
   /// Best-effort summary: actions the source dropped to corrupt-frame
   /// recovery (titio::ReaderOptions::recover). A degraded prediction is

@@ -205,26 +205,26 @@ sim::Coro replay_rank_msg(sim::Ctx& ctx, int me, titio::ActionSource& source,
         msg::Request r = shared.mailboxes.match_or_post(ctx, in_box(a.partner), slot);
         if (r == nullptr) {
           co_await ctx.wait(slot.matched);
-          r = std::move(slot.comm);
+          r = slot.comm;
         }
-        co_await ctx.wait(std::move(r));
+        co_await ctx.wait(r);
         break;
       }
       case tit::ActionType::Wait:
         if (!outstanding.empty()) {
           diag.wait = RankDiag::Wait::OldestRequest;
-          msg::Request r = std::move(outstanding.front());
+          const msg::Request r = outstanding.front();
           outstanding.pop_front();
-          co_await ctx.wait(std::move(r));
+          co_await ctx.wait(r);
         }
         break;
       case tit::ActionType::WaitAll:
         diag.wait = RankDiag::Wait::AllRequests;
         diag.wait_count = outstanding.size();
         while (!outstanding.empty()) {
-          msg::Request r = std::move(outstanding.front());
+          const msg::Request r = outstanding.front();
           outstanding.pop_front();
-          co_await ctx.wait(std::move(r));
+          co_await ctx.wait(r);
         }
         break;
       case tit::ActionType::Barrier:

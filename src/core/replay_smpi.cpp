@@ -148,9 +148,9 @@ sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
         }
         diag.wait = RankDiag::Wait::OldestRequest;
         diag.wait_count = outstanding.size();
-        smpi::Request r = std::move(outstanding.front());
+        const smpi::Request r = outstanding.front();
         outstanding.pop_front();
-        co_await ctx.wait(std::move(r));
+        co_await ctx.wait(r);
         break;
       }
       case tit::ActionType::WaitAll: {
@@ -159,9 +159,9 @@ sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
         // Sequential awaits complete at the max of the completion times,
         // which is MPI_Waitall semantics (waiting consumes no resources).
         while (!outstanding.empty()) {
-          smpi::Request r = std::move(outstanding.front());
+          const smpi::Request r = outstanding.front();
           outstanding.pop_front();
-          co_await ctx.wait(std::move(r));
+          co_await ctx.wait(r);
         }
         break;
       }

@@ -62,6 +62,7 @@ ReplayResult ReplaySession::finish() {
   result.simulated_time = engine_->now();
   result.actions_replayed = actions_;
   result.engine_steps = engine_->steps();
+  result.activities_created = engine_->activities_created();
   result.skipped_actions = source_.skipped_actions();
   result.degraded = result.skipped_actions > 0;
   result.wall_clock_seconds =

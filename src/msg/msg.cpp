@@ -8,9 +8,10 @@ BoxId Mailboxes::box(const std::string& mailbox) {
   return it->second;
 }
 
-sim::ActivityPtr Mailboxes::match(const Box& box, const Put& put, platform::HostId dst_host) {
+sim::ActivityHandle Mailboxes::match(const Box& box, const Put& put,
+                                     platform::HostId dst_host) {
   if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, put.bytes);
-  sim::ActivityPtr comm = engine_.make_comm(put.src_host, dst_host, put.bytes);
+  const sim::ActivityHandle comm = engine_.make_comm(put.src_host, dst_host, put.bytes);
   if (put.done != nullptr) engine_.chain(comm, put.done);
   return comm;
 }
@@ -48,7 +49,7 @@ Request Mailboxes::isend(sim::Ctx& ctx, BoxId box_id, double bytes) {
     RecvSlot* get = box.gets.front();
     box.gets.pop_front();
     if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, bytes);
-    sim::ActivityPtr comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
+    const sim::ActivityHandle comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
     get->comm = comm;
     get->bytes = bytes;
     engine_.complete_now(get->matched);
@@ -64,8 +65,7 @@ void Mailboxes::send_async(sim::Ctx& ctx, BoxId box_id, double bytes) {
     RecvSlot* get = box.gets.front();
     box.gets.pop_front();
     if (obs::Sink* const sink = engine_.sink()) sink->on_mailbox_match(box.name, bytes);
-    sim::ActivityPtr comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
-    get->comm = std::move(comm);  // the receiver's reference keeps it alive
+    get->comm = engine_.make_comm(ctx.host(), get->dst_host, bytes);
     get->bytes = bytes;
     engine_.complete_now(get->matched);
     return;
@@ -99,7 +99,7 @@ sim::Coro Rendezvous::arrive_and_wait(sim::Ctx& ctx) {
   ++arrived_;
   if (arrived_ == parties_) {
     arrived_ = 0;
-    const sim::ActivityPtr current = gate_;
+    const sim::ActivityHandle current = gate_;
     gate_ = engine_.make_gate();  // re-arm before waking the cohort
     engine_.complete_now(current);
     co_return;

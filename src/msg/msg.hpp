@@ -23,7 +23,7 @@ namespace tir::msg {
 
 /// The detached-send request handle: a gate completed when the transfer
 /// finishes. Await it with ctx.wait(request).
-using Request = sim::ActivityPtr;
+using Request = sim::ActivityHandle;
 
 /// A resolved mailbox handle (index into the Mailboxes table).  Resolving a
 /// name hashes once; every subsequent operation through the handle is a
@@ -35,8 +35,8 @@ using BoxId = std::int32_t;
 /// Mailboxes::match_or_post.
 struct RecvSlot {
   platform::HostId dst_host{};
-  sim::ActivityPtr matched;  ///< gate completed at match time
-  sim::ActivityPtr comm;     ///< the transfer, filled at match
+  sim::ActivityHandle matched;  ///< gate completed at match time
+  sim::ActivityHandle comm;     ///< the transfer, filled at match
   double bytes = 0.0;
 };
 
@@ -101,7 +101,7 @@ class Mailboxes {
 
   /// Create and start the transfer for a matched (put, get) pair, reporting
   /// the match to the observability sink (if one is attached).
-  sim::ActivityPtr match(const Box& box, const Put& put, platform::HostId dst_host);
+  sim::ActivityHandle match(const Box& box, const Put& put, platform::HostId dst_host);
 
   sim::Engine& engine_;
   std::deque<Box> boxes_;  ///< deque: stable addresses across box creation
@@ -121,7 +121,7 @@ class Rendezvous {
   sim::Engine& engine_;
   int parties_;
   int arrived_ = 0;
-  sim::ActivityPtr gate_;
+  sim::ActivityHandle gate_;
 };
 
 }  // namespace tir::msg

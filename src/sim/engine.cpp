@@ -114,7 +114,7 @@ bool Engine::run_until(double stop_time) {
     while (true) {
       drain_ready();
       if (first_error_) break;
-      if (running_.empty()) {
+      if (running_ == 0) {
         if (alive_actors_ > 0) report_deadlock();
         break;
       }
@@ -158,7 +158,7 @@ void Engine::check_watchdog(const std::chrono::steady_clock::time_point& start) 
       "watchdog: wall-clock limit of " + std::to_string(config_.wall_clock_limit) +
       "s exceeded (" + std::to_string(elapsed) + "s elapsed) at simulated t=" +
       std::to_string(now_) + " after " + std::to_string(steps_) + " step(s); " +
-      std::to_string(alive_actors_) + " actor(s) and " + std::to_string(running_.size()) +
+      std::to_string(alive_actors_) + " actor(s) and " + std::to_string(running_) +
       " activit(ies) still live");
 }
 
@@ -169,13 +169,28 @@ void Engine::drain_ready() {
   }
 }
 
-ActivityPtr Engine::make_activity() {
-  ActivityArena* const arena = arena_.arena;
-  void* const mem = arena->pool.allocate(sizeof(Activity));
-  Activity* const act = new (mem) Activity();
-  act->arena = arena;
-  ++arena->live;
-  return ActivityPtr(act);
+Activity* Engine::make_activity() {
+  Activity* a = nullptr;
+  if (!free_.empty()) {
+    a = free_.back();
+    free_.pop_back();
+  } else {
+    if (slab_left_ == 0) {
+      slab_.push_back(std::make_unique<Activity[]>(kSlabChunk));
+      slab_left_ = kSlabChunk;
+    }
+    a = &slab_.back()[kSlabChunk - slab_left_--];
+  }
+  const std::uint32_t gen = a->gen;
+  *a = Activity{};
+  a->gen = gen;
+  a->seq = seq_++;
+  return a;
+}
+
+void Engine::free_slot(Activity* a) {
+  ++a->gen;
+  free_.push_back(a);
 }
 
 void Engine::mark_core_dirty(std::int32_t core) {
@@ -205,24 +220,26 @@ void Engine::enroll_exec(Activity* a) {
   if (load > 1) mark_core_dirty(a->core_index);
 }
 
-ActivityPtr Engine::start_exec(platform::HostId host, int core, double instructions,
-                               double rate) {
+ActivityHandle Engine::start_exec(platform::HostId host, int core, double instructions,
+                                  double rate) {
   TIR_ASSERT(instructions >= 0.0);
   TIR_ASSERT(rate > 0.0);
-  ActivityPtr act = make_activity();
+  Activity* const act = make_activity();
+  const ActivityHandle handle(act);
   act->kind = Activity::Kind::Exec;
-  act->seq = seq_++;
+  if (instructions <= kWorkEps) {
+    // Nothing to run: done at birth, and nobody can have waited on it yet.
+    act->state = Activity::State::Done;
+    free_slot(act);
+    return handle;
+  }
   act->core_index = host_core_offset_[static_cast<std::size_t>(host)] + core;
   act->nominal_rate = rate;
   act->remaining = instructions;
-  if (instructions <= kWorkEps) {
-    act->state = Activity::State::Done;
-    return act;
-  }
   act->state = Activity::State::Running;
-  add_running(act);
-  enroll_exec(act.get());
-  return act;
+  add_running(*act);
+  enroll_exec(act);
+  return handle;
 }
 
 Engine::CachedRoute Engine::cached_route(platform::HostId src, platform::HostId dst) {
@@ -245,12 +262,11 @@ Engine::CachedRoute Engine::cached_route(platform::HostId src, platform::HostId 
   return *slot;
 }
 
-ActivityPtr Engine::make_comm(platform::HostId src, platform::HostId dst, double bytes,
-                              double lat_factor, double bw_factor, bool start_now) {
+ActivityHandle Engine::make_comm(platform::HostId src, platform::HostId dst, double bytes,
+                                 double lat_factor, double bw_factor, bool start_now) {
   TIR_ASSERT(bytes >= 0.0);
-  ActivityPtr act = make_activity();
+  Activity* const act = make_activity();
   act->kind = Activity::Kind::Comm;
-  act->seq = seq_++;
   act->remaining = std::max(bytes, kWorkEps * 2);  // zero-byte comms still pay latency
   if (src == dst) {
     act->route = nullptr;
@@ -263,30 +279,23 @@ ActivityPtr Engine::make_comm(platform::HostId src, platform::HostId dst, double
     act->bw_bound = cached.min_bw * bw_factor;
   }
   TIR_ASSERT(act->bw_bound > 0.0);
-  if (start_now) start_activity(act);
-  return act;
+  const ActivityHandle handle(act);
+  if (start_now) start_activity(handle);
+  return handle;
 }
 
-ActivityPtr Engine::start_timer(double duration) {
+ActivityHandle Engine::start_timer(double duration) {
   TIR_ASSERT(duration >= 0.0);
-  ActivityPtr act = make_activity();
+  Activity* const act = make_activity();
   act->kind = Activity::Kind::Timer;
-  act->seq = seq_++;
-  act->deadline = now_ + duration;
   act->state = Activity::State::Running;
-  add_running(act);
-  act->heap_key = act->deadline;
-  heap_.insert(act.get());
-  return act;
+  add_running(*act);
+  act->heap_key = now_ + duration;
+  heap_.insert(act);
+  return ActivityHandle(act);
 }
 
-ActivityPtr Engine::make_gate() {
-  ActivityPtr act = make_activity();
-  act->kind = Activity::Kind::Gate;
-  act->seq = seq_++;
-  act->state = Activity::State::Pending;
-  return act;
-}
+ActivityHandle Engine::make_gate() { return ActivityHandle(make_activity()); }
 
 void Engine::start_comm(Activity* a) {
   if (a->latency_left > 0.0) {
@@ -298,8 +307,10 @@ void Engine::start_comm(Activity* a) {
 }
 
 void Engine::begin_transfer(Activity* a) {
-  a->xfer_slot = static_cast<std::int32_t>(transfers_.size());
-  transfers_.push_back(a);
+  if (config_.sink != nullptr) {
+    a->xfer_slot = static_cast<std::int32_t>(transfers_.size());
+    transfers_.push_back(a);
+  }
   if (config_.sharing == Sharing::Uncontended || a->route == nullptr) {
     // No contention model applies: the flow runs at its own bound forever.
     a->rate = a->bw_bound;
@@ -324,11 +335,12 @@ void Engine::begin_transfer(Activity* a) {
   heap_.insert(a);
 }
 
-void Engine::start_activity(const ActivityPtr& act) {
-  TIR_ASSERT(act->state == Activity::State::Pending);
-  act->state = Activity::State::Running;
-  add_running(act);
-  if (act->kind == Activity::Kind::Comm) start_comm(act.get());
+void Engine::start_activity(ActivityHandle act) {
+  Activity* const a = act.get();
+  TIR_ASSERT(!act.done() && a->state == Activity::State::Pending);
+  a->state = Activity::State::Running;
+  add_running(*a);
+  if (a->kind == Activity::Kind::Comm) start_comm(a);
 }
 
 void Engine::release_resources(Activity& act) {
@@ -373,67 +385,115 @@ void Engine::release_resources(Activity& act) {
   }
 }
 
-void Engine::complete_now(const ActivityPtr& act) {
-  TIR_ASSERT(!act->done());
-  if (act->run_slot >= 0) {
-    remove_running(*act);
-    release_resources(*act);
+void Engine::complete_now(ActivityHandle act) {
+  TIR_ASSERT(!act.done());
+  Activity& a = *act.get();
+  if (a.state == Activity::State::Running) {
+    --running_;
+    release_resources(a);
   }
-  act->state = Activity::State::Done;
-  complete(*act);
+  complete(a);
 }
 
-void Engine::chain(const ActivityPtr& source, const ActivityPtr& gate) {
-  if (source->done()) {
-    if (!gate->done()) complete_now(gate);
+void Engine::chain(ActivityHandle source, ActivityHandle gate) {
+  // A done gate's slot may already hold another activity: never record it.
+  if (gate.done()) return;
+  if (source.done()) {
+    complete_now(gate);
   } else {
-    source->waiters.push_back(Waiter{{}, nullptr, -1, gate});
+    add_waiter(source.get(), Waiter{Waiter::Kind::Chain, gate.get()->gen, gate.get()});
   }
 }
 
-void Engine::add_running(const ActivityPtr& act) {
-  act->run_slot = static_cast<std::int32_t>(running_.size());
-  running_.push_back(act);
+void Engine::add_running(Activity& act) {
+  ++running_;
   if (config_.sink != nullptr) {
-    config_.sink->on_activity_start(static_cast<obs::ActivityKind>(act->kind), act->seq, now_);
+    config_.sink->on_activity_start(static_cast<obs::ActivityKind>(act.kind), act.seq, now_);
   }
 }
 
-void Engine::remove_running(Activity& act) {
-  TIR_ASSERT(act.run_slot >= 0);
-  const auto slot = static_cast<std::size_t>(act.run_slot);
-  // The slot is null when advance_to stole the reference just above.
-  TIR_ASSERT(slot < running_.size() &&
-             (running_[slot] == nullptr || running_[slot].get() == &act));
-  if (slot != running_.size() - 1) {
-    running_[slot] = std::move(running_.back());
-    running_[slot]->run_slot = static_cast<std::int32_t>(slot);
+void Engine::add_waiter(Activity* a, Waiter w) {
+  TIR_ASSERT(!a->done());
+  if (a->waiter.ptr == nullptr) {
+    a->waiter = w;
+    return;
   }
-  running_.pop_back();
-  act.run_slot = -1;
+  if (a->spill == Activity::kNoSpill) {
+    if (spill_free_.empty()) {
+      a->spill = static_cast<std::uint32_t>(spill_.size());
+      spill_.emplace_back();
+    } else {
+      a->spill = spill_free_.back();
+      spill_free_.pop_back();
+    }
+  }
+  spill_[a->spill].push_back(w);
+}
+
+WaitAnyState* Engine::begin_wait_any(const std::vector<ActivityHandle>& acts,
+                                     std::coroutine_handle<> h) {
+  WaitAnyState* state = nullptr;
+  if (wait_any_free_.empty()) {
+    state = &wait_any_.emplace_back();
+  } else {
+    state = wait_any_free_.back();
+    wait_any_free_.pop_back();
+  }
+  *state = WaitAnyState{h, -1, static_cast<int>(acts.size()) + 1};
+  for (std::size_t i = 0; i < acts.size(); ++i) {
+    add_waiter(acts[i].get(), Waiter{Waiter::Kind::Any, static_cast<std::uint32_t>(i), state});
+  }
+  return state;
+}
+
+int Engine::end_wait_any(WaitAnyState* state) {
+  const int index = state->completed_index;
+  drop_wait_any_hold(state);
+  return index;
+}
+
+void Engine::drop_wait_any_hold(WaitAnyState* state) {
+  if (--state->holders == 0) wait_any_free_.push_back(state);
+}
+
+void Engine::wake(const Waiter& w) {
+  switch (w.kind) {
+    case Waiter::Kind::Resume:
+      ready_.push_back(std::coroutine_handle<>::from_address(w.ptr));
+      break;
+    case Waiter::Kind::Chain: {
+      Activity* const gate = static_cast<Activity*>(w.ptr);
+      if (gate->gen == w.aux && !gate->done()) complete_now(ActivityHandle(gate));
+      break;
+    }
+    case Waiter::Kind::Any: {
+      auto* const state = static_cast<WaitAnyState*>(w.ptr);
+      if (state->completed_index < 0) {
+        state->completed_index = static_cast<int>(w.aux);
+        ready_.push_back(state->waiter);
+      }
+      drop_wait_any_hold(state);
+      break;
+    }
+  }
 }
 
 void Engine::complete(Activity& act) {
+  act.state = Activity::State::Done;
   if (config_.sink != nullptr) {
     config_.sink->on_activity_finish(static_cast<obs::ActivityKind>(act.kind), act.seq, now_);
   }
-  // Wake waiters in registration order. Chained gates complete recursively;
-  // take ownership of the waiter list first since completing a chained gate
-  // may re-enter complete().
-  WaiterList waiters = std::move(act.waiters);
-  for (std::uint32_t i = 0; i < waiters.size(); ++i) {
-    Waiter& w = waiters[i];
-    if (w.any != nullptr) {
-      if (w.any->completed_index < 0) {
-        w.any->completed_index = w.any_index;
-        ready_.push_back(w.any->waiter);
-      }
-    } else if (w.chain != nullptr) {
-      if (!w.chain->done()) complete_now(w.chain);
-    } else if (w.handle) {
-      ready_.push_back(w.handle);
-    }
+  // Wake waiters in registration order, in place: waking only readies
+  // coroutines or completes chained gates (recursively), so nothing here
+  // can register a waiter on this finished activity.
+  if (act.waiter.ptr != nullptr) wake(act.waiter);
+  if (act.spill != Activity::kNoSpill) {
+    const std::uint32_t list = act.spill;
+    for (std::size_t i = 0; i < spill_[list].size(); ++i) wake(spill_[list][i]);
+    spill_[list].clear();
+    spill_free_.push_back(list);
   }
+  free_slot(&act);
 }
 
 void Engine::retime(Activity* a, double new_rate) {
@@ -524,14 +584,9 @@ void Engine::advance_to(double t) {
     a->remaining = 0.0;
     finished_.push_back(a);
   }
+  running_ -= finished_.size();
   for (Activity* const a : finished_) {
-    // Steal the running set's reference instead of copying it (one refcount
-    // round-trip per completion saved); the slot's hole is filled right away
-    // by remove_running, before complete() can re-enter.
-    const ActivityPtr keep = std::move(running_[static_cast<std::size_t>(a->run_slot)]);
-    remove_running(*a);
     release_resources(*a);
-    a->state = Activity::State::Done;
     complete(*a);
   }
   finished_.clear();
@@ -570,8 +625,8 @@ void Engine::report_deadlock() const {
   if (alive_actors_ > kMaxDetailed) {
     detail += "\n  ... " + std::to_string(alive_actors_ - kMaxDetailed) + " more";
   }
-  if (!running_.empty()) {
-    detail += "\n  (" + std::to_string(running_.size()) +
+  if (running_ != 0) {
+    detail += "\n  (" + std::to_string(running_) +
               " activit(ies) exist but none can make progress)";
   }
   throw DeadlockError("deadlock at t=" + std::to_string(now_) + ": " +

@@ -17,14 +17,15 @@
 // comes from an indexed min-heap instead of a linear scan — message phases
 // of equal duration share one heap slot through a FIFO lane — rate refreshes
 // touch only dirtied cores and — under Resolve::Incremental — only the
-// dirtied components of the max-min sharing graph, and activity allocations
-// are pooled.  Per-event cost is O(changed · log n), not O(running flows).
+// dirtied components of the max-min sharing graph, and activities live in a
+// slab of reused slots (activity.hpp).  Per-event cost is
+// O(changed · log n), not O(running flows).
 //
 // The engine is single-threaded and deterministic: identical inputs produce
 // bit-identical simulated schedules, in either Resolve mode.
 //
 // Thread safety (docs/architecture.md): an Engine and everything it owns —
-// actors, activity pools, the time heap, the max-min solver — is strictly
+// actors, activity slots, the time heap, the max-min solver — is strictly
 // confined to the thread that constructed it; no engine state is global or
 // shared between instances.  Concurrent *engines* are therefore safe and
 // the unit of parallelism in core::Sweep: one engine per session per
@@ -33,6 +34,7 @@
 #pragma once
 
 #include <chrono>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -44,7 +46,6 @@
 #include "sim/activity.hpp"
 #include "sim/coro.hpp"
 #include "sim/maxmin.hpp"
-#include "sim/pool.hpp"
 #include "sim/timeheap.hpp"
 
 namespace tir::sim {
@@ -81,44 +82,47 @@ struct EngineConfig {
   Resolve resolve = Resolve::Incremental;
 };
 
+class Engine;
+
 /// Awaitable for a single activity.
 struct ActivityAwaiter {
-  Activity* act;
-  bool await_ready() const noexcept { return act->done(); }
-  void await_suspend(std::coroutine_handle<> h) {
-    act->waiters.push_back(Waiter{h, nullptr, -1, nullptr});
-  }
+  Engine* engine;
+  ActivityHandle act;
+  bool await_ready() const noexcept { return act.done(); }
+  void await_suspend(std::coroutine_handle<> h);
   void await_resume() const noexcept {}
+};
+
+/// Engine-side state of a wait-any group: the first completed member wins.
+/// Held by every member still pending and by the awaiter until it resumed.
+struct WaitAnyState {
+  std::coroutine_handle<> waiter;
+  int completed_index = -1;  ///< index within the wait set, -1 while pending
+  int holders = 0;
 };
 
 /// Awaitable for a set of activities; resumes on the first completion and
 /// yields its index within the set.
 class WaitAnyAwaiter {
  public:
-  explicit WaitAnyAwaiter(std::vector<ActivityPtr> acts) : acts_(std::move(acts)) {}
+  WaitAnyAwaiter(Engine& engine, std::vector<ActivityHandle> acts)
+      : engine_(engine), acts_(std::move(acts)) {}
   bool await_ready() noexcept {
     for (std::size_t i = 0; i < acts_.size(); ++i) {
-      if (acts_[i]->done()) {
+      if (acts_[i].done()) {
         ready_index_ = static_cast<int>(i);
         return true;
       }
     }
     return false;
   }
-  void await_suspend(std::coroutine_handle<> h) {
-    state_ = std::make_shared<WaitAnyState>();
-    state_->waiter = h;
-    for (std::size_t i = 0; i < acts_.size(); ++i) {
-      acts_[i]->waiters.push_back(Waiter{{}, state_, static_cast<int>(i), nullptr});
-    }
-  }
-  int await_resume() const noexcept {
-    return state_ != nullptr ? state_->completed_index : ready_index_;
-  }
+  void await_suspend(std::coroutine_handle<> h);
+  int await_resume() noexcept;
 
  private:
-  std::vector<ActivityPtr> acts_;
-  std::shared_ptr<WaitAnyState> state_;
+  Engine& engine_;
+  std::vector<ActivityHandle> acts_;
+  WaitAnyState* state_ = nullptr;
   int ready_index_ = -1;
 };
 
@@ -162,15 +166,14 @@ class Engine {
   SimTime now() const { return now_; }
   std::uint64_t steps() const { return steps_; }            ///< time advances
   std::uint64_t activities_created() const { return seq_; } ///< total activities
+  /// Slab slots ever carved; plateaus once the live working set is warm.
+  std::size_t activity_slots() const { return slab_.size() * kSlabChunk - slab_left_; }
   /// Event-queue work (sim/timeheap.hpp): entries pushed onto the time heap,
   /// and comm phases queued behind a constant-delay lane's tail instead.
   std::uint64_t heap_inserts() const { return heap_.heap_inserts(); }
   std::uint64_t lane_appends() const { return heap_.lane_appends(); }
   /// Solver instrumentation (partial/full solve counts, flows visited).
   const MaxMinSolver::Counters& solver_counters() const { return solver_.counters(); }
-  /// Activity blocks obtained from the system allocator; plateaus once the
-  /// pool's working set is warm (see sim/pool.hpp).
-  std::uint64_t fresh_activity_allocations() const { return arena_.arena->pool.fresh_allocations(); }
 
   /// Create an actor pinned to (host, core). Returns its index.
   int spawn(std::string name, platform::HostId host, int core, ActorFn fn);
@@ -190,34 +193,41 @@ class Engine {
 
   // --- activity construction (used by Ctx and the msg/smpi layers) --------
   /// Asynchronous execution of `instructions` at `rate` instr/s on a core.
-  ActivityPtr start_exec(platform::HostId host, int core, double instructions, double rate);
+  ActivityHandle start_exec(platform::HostId host, int core, double instructions, double rate);
 
   /// Communication of `bytes` from src to dst.  Latency and bandwidth are
   /// scaled by the given factors (the piecewise-linear model hooks in here).
   /// If start_now is false the comm is created Pending; call start_activity()
   /// when the protocol says the transfer begins (e.g. rendezvous match).
-  ActivityPtr make_comm(platform::HostId src, platform::HostId dst, double bytes,
-                        double lat_factor = 1.0, double bw_factor = 1.0, bool start_now = true);
+  ActivityHandle make_comm(platform::HostId src, platform::HostId dst, double bytes,
+                           double lat_factor = 1.0, double bw_factor = 1.0,
+                           bool start_now = true);
 
   /// Timer that fires at now() + duration.
-  ActivityPtr start_timer(double duration);
+  ActivityHandle start_timer(double duration);
 
   /// Pure synchronization token (not time-consuming); complete it manually.
-  ActivityPtr make_gate();
+  ActivityHandle make_gate();
 
   /// Move a Pending activity into the running set.
-  void start_activity(const ActivityPtr& act);
+  void start_activity(ActivityHandle act);
 
   /// Complete a Gate (or any activity) immediately, waking its waiters.
-  void complete_now(const ActivityPtr& act);
+  void complete_now(ActivityHandle act);
 
   /// Complete `gate` when `source` completes (now, if it already has).
   /// Used by request objects to track the communication they stand for.
-  void chain(const ActivityPtr& source, const ActivityPtr& gate);
+  void chain(ActivityHandle source, ActivityHandle gate);
 
   // --- internal (used by coroutine plumbing) ------------------------------
   void on_actor_done(int actor_index, std::exception_ptr exception);
   void make_ready(std::coroutine_handle<> h) { ready_.push_back(h); }
+  /// Register `w` on a live activity; woken in registration order.
+  void add_waiter(Activity* a, Waiter w);
+  /// Wait-any bookkeeping behind WaitAnyAwaiter.
+  WaitAnyState* begin_wait_any(const std::vector<ActivityHandle>& acts,
+                               std::coroutine_handle<> h);
+  int end_wait_any(WaitAnyState* state);
 
   /// Ctx of a spawned actor (stable address).
   Ctx& ctx(int actor_index);
@@ -227,7 +237,11 @@ class Engine {
 
   void drain_ready();
   void check_watchdog(const std::chrono::steady_clock::time_point& start) const;
-  ActivityPtr make_activity();
+  Activity* make_activity();
+  /// Return a completed activity's slot to the free list (new generation).
+  void free_slot(Activity* a);
+  void wake(const Waiter& w);
+  void drop_wait_any_hold(WaitAnyState* state);
   void enroll_exec(Activity* a);
   void start_comm(Activity* a);
   void begin_transfer(Activity* a);
@@ -242,9 +256,9 @@ class Engine {
   void advance_to(double t);
   /// Drop an activity's hold on cores / flows / the heap.
   void release_resources(Activity& act);
+  /// Mark done, wake the waiters, free the slot.
   void complete(Activity& act);
-  void add_running(const ActivityPtr& act);
-  void remove_running(Activity& act);
+  void add_running(Activity& act);
   /// Route plus its precomputed bottleneck bandwidth (min over links).
   struct CachedRoute {
     const platform::Route* route = nullptr;
@@ -254,25 +268,7 @@ class Engine {
   void emit_diagnoses() const;
   [[noreturn]] void report_deadlock() const;
 
-  /// Owns the activity arena.  Declared first so it is destroyed last: every
-  /// other member (actors' coroutine frames, the running set, waiter chains)
-  /// may hold ActivityPtrs whose release returns blocks to the arena.  If
-  /// handles still live outside the engine at that point, the arena is
-  /// orphaned instead and self-destructs on the last release.
-  struct ArenaOwner {
-    ActivityArena* arena = new ActivityArena();
-    ~ArenaOwner() {
-      if (arena->live == 0) {
-        delete arena;
-      } else {
-        arena->orphaned = true;
-      }
-    }
-    ArenaOwner() = default;
-    ArenaOwner(const ArenaOwner&) = delete;
-    ArenaOwner& operator=(const ArenaOwner&) = delete;
-  };
-  ArenaOwner arena_;
+  static constexpr std::size_t kSlabChunk = 256;
 
   const platform::Platform& platform_;
   EngineConfig config_;
@@ -285,8 +281,19 @@ class Engine {
   std::exception_ptr first_error_;
 
   ReadyQueue ready_;
-  std::vector<ActivityPtr> running_;
+  std::size_t running_ = 0;  // activities started and not yet done
   TimeHeap heap_;
+
+  // Activity slots: fixed-size chunks (stable addresses) plus a LIFO free
+  // list, so the hottest slots are the ones reused.
+  std::vector<std::unique_ptr<Activity[]>> slab_;
+  std::size_t slab_left_ = 0;  // unused slots at the end of the last chunk
+  std::vector<Activity*> free_;
+  // Waiters past each activity's inline one, and the wait-any groups.
+  std::vector<std::vector<Waiter>> spill_;
+  std::vector<std::uint32_t> spill_free_;
+  std::deque<WaitAnyState> wait_any_;  // deque: stable addresses
+  std::vector<WaitAnyState*> wait_any_free_;
 
   std::vector<int> core_load_;         // active execs per flattened core
   std::vector<int> host_core_offset_;  // host id -> first core slot
@@ -302,14 +309,12 @@ class Engine {
   std::vector<std::unique_ptr<platform::Route>> route_storage_;
   MaxMinSolver solver_;
   std::vector<Activity*> flow_acts_;   // solver flow id -> activity
-  std::vector<Activity*> transfers_;   // comms past their latency phase; the
-                                       // sink's comm-progress walk (slot order
-                                       // is a pure function of the event
-                                       // sequence, identical across Resolve
-                                       // modes)
-  std::vector<Activity*> finished_;  // scratch: completions of one step (kept
-                                     // alive by their running_ slots until the
-                                     // completion loop steals the reference)
+  std::vector<Activity*> transfers_;   // with a sink only: comms past their
+                                       // latency phase, for its comm-progress
+                                       // walk (slot order is a pure function
+                                       // of the event sequence, identical
+                                       // across Resolve modes)
+  std::vector<Activity*> finished_;    // scratch: completions of one step
 
   bool running_loop_ = false;
 };
@@ -343,15 +348,12 @@ class Ctx {
   /// Suspend for a fixed simulated duration.
   ActivityAwaiter sleep(double duration) { return wait(engine_.start_timer(duration)); }
 
-  /// Wait for one activity. Keeps the pointer alive across the await.
-  ActivityAwaiter wait(ActivityPtr act) {
-    keepalive_ = std::move(act);
-    return ActivityAwaiter{keepalive_.get()};
-  }
+  /// Wait for one activity.
+  ActivityAwaiter wait(ActivityHandle act) { return ActivityAwaiter{&engine_, act}; }
 
   /// Wait for the first of several activities; yields the completed index.
-  WaitAnyAwaiter wait_any(std::vector<ActivityPtr> acts) {
-    return WaitAnyAwaiter(std::move(acts));
+  WaitAnyAwaiter wait_any(std::vector<ActivityHandle> acts) {
+    return WaitAnyAwaiter(engine_, std::move(acts));
   }
 
   /// Install a diagnosis callback, called only when the engine must explain
@@ -371,8 +373,19 @@ class Ctx {
   std::string name_;
   platform::HostId host_;
   int core_;
-  ActivityPtr keepalive_;  // last awaited activity (single outstanding wait)
   std::function<std::string()> diagnoser_;
 };
+
+inline void ActivityAwaiter::await_suspend(std::coroutine_handle<> h) {
+  engine->add_waiter(act.get(), Waiter{Waiter::Kind::Resume, 0, h.address()});
+}
+
+inline void WaitAnyAwaiter::await_suspend(std::coroutine_handle<> h) {
+  state_ = engine_.begin_wait_any(acts_, h);
+}
+
+inline int WaitAnyAwaiter::await_resume() noexcept {
+  return state_ != nullptr ? engine_.end_wait_any(state_) : ready_index_;
+}
 
 }  // namespace tir::sim

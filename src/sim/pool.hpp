@@ -1,14 +1,4 @@
-// Flat allocation infrastructure for the simulation kernel's hot path.
-//
-// PoolResource: size-binned recycling pool for activity allocations.  The
-// engine churns through one Activity per simulated event; with the default
-// allocator every make_comm/start_exec is a malloc and the matching
-// completion a free, right on the hot loop.  PoolResource keeps freed blocks
-// on per-size free lists instead, so steady-state replay reuses a small
-// working set of blocks and performs no allocator calls at all.  Only a
-// handful of distinct sizes ever pass through (the Activity control block,
-// occasionally a WaitAnyState), so the bins live in a flat vector scanned
-// linearly — no hashing on the allocation path.
+// Flat storage for the max-min solver's many small arrays.
 //
 // SpanArena: slotted storage for many small arrays backed by one flat
 // buffer.  The max-min solver keeps a route (a few LinkIds) per flow and a
@@ -19,94 +9,18 @@
 // buffer (holes are reclaimed by shrink_to_fit), and slot ids are stable so
 // they can be keyed by the caller's own id-recycling scheme.
 //
-// Lifetime: PoolAllocator holds a shared_ptr to the resource, and
-// std::allocate_shared stores a copy of the allocator inside each control
-// block — so an ActivityPtr that outlives the Engine keeps the resource
-// alive until the last reference drops.  Deallocation back into a pool the
-// engine has abandoned is therefore safe.
-//
 // Single-threaded by design, like the engine itself.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <new>
 #include <span>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tir::sim {
-
-class PoolResource {
- public:
-  PoolResource() = default;
-  PoolResource(const PoolResource&) = delete;
-  PoolResource& operator=(const PoolResource&) = delete;
-  ~PoolResource() {
-    for (Bin& bin : bins_) {
-      for (void* p : bin.blocks) ::operator delete(p);
-    }
-  }
-
-  void* allocate(std::size_t bytes) {
-    Bin& bin = bin_for(bytes);
-    if (!bin.blocks.empty()) {
-      void* const p = bin.blocks.back();
-      bin.blocks.pop_back();
-      return p;
-    }
-    ++fresh_;
-    return ::operator new(bytes);
-  }
-
-  void deallocate(void* p, std::size_t bytes) { bin_for(bytes).blocks.push_back(p); }
-
-  /// Blocks obtained from the system allocator (i.e. free-list misses).
-  /// A steady-state replay should see this plateau after warm-up.
-  std::uint64_t fresh_allocations() const { return fresh_; }
-
- private:
-  struct Bin {
-    std::size_t bytes = 0;
-    std::vector<void*> blocks;
-  };
-
-  Bin& bin_for(std::size_t bytes) {
-    for (Bin& bin : bins_) {
-      if (bin.bytes == bytes) return bin;
-    }
-    bins_.push_back(Bin{bytes, {}});
-    return bins_.back();
-  }
-
-  std::vector<Bin> bins_;
-  std::uint64_t fresh_ = 0;
-};
-
-template <class T>
-class PoolAllocator {
- public:
-  using value_type = T;
-
-  explicit PoolAllocator(std::shared_ptr<PoolResource> res) : res_(std::move(res)) {}
-  template <class U>
-  PoolAllocator(const PoolAllocator<U>& other) : res_(other.resource()) {}  // NOLINT
-
-  T* allocate(std::size_t n) { return static_cast<T*>(res_->allocate(n * sizeof(T))); }
-  void deallocate(T* p, std::size_t n) { res_->deallocate(p, n * sizeof(T)); }
-
-  const std::shared_ptr<PoolResource>& resource() const { return res_; }
-
-  template <class U>
-  bool operator==(const PoolAllocator<U>& other) const {
-    return res_ == other.resource();
-  }
-
- private:
-  std::shared_ptr<PoolResource> res_;
-};
 
 /// Many small arrays in one flat buffer; see the header comment.
 ///

@@ -27,12 +27,21 @@
 // order and its head competes in the heap, so the pop sequence is the same
 // total order a heap-only queue produces, whatever the insertion/update
 // sequence or lane assignment — identical simulations pop identically.
+//
+// Comparison.  Keys are simulated times: non-negative, never NaN, +inf for
+// a parked flow.  On such doubles the IEEE-754 bit pattern read as an
+// unsigned integer is monotonic in the value, so (key, seq) compares as the
+// single 128-bit integer (bits(key) << 64) | seq — one flag-setting
+// subtract instead of two data-dependent branches.  insert(), insert_lane()
+// and update() assert the precondition (a negative zero or a NaN would
+// break it).
 #pragma once
 
 #include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "base/error.hpp"
@@ -60,7 +69,7 @@ class TimeHeap {
 
   /// Insert an activity not currently queued onto the heap.
   void insert(Activity* a) {
-    TIR_ASSERT(!contains(a));
+    TIR_ASSERT(!contains(a) && valid_key(a->heap_key));
     push_heap(Entry{a->heap_key, a->seq, a});
   }
 
@@ -68,7 +77,7 @@ class TimeHeap {
   /// `duration`, in the lane of that exact duration when it can keep the
   /// lane sorted, on the heap otherwise.
   void insert_lane(Activity* a, double duration) {
-    TIR_ASSERT(!contains(a));
+    TIR_ASSERT(!contains(a) && valid_key(a->heap_key));
     const Entry e{a->heap_key, a->seq, a};
     const int l = find_lane(std::bit_cast<std::uint64_t>(duration));
     if (l < 0) {
@@ -97,7 +106,7 @@ class TimeHeap {
       insert(a);
       return;
     }
-    TIR_ASSERT(a->heap_slot >= 0);
+    TIR_ASSERT(a->heap_slot >= 0 && valid_key(a->heap_key));
     const auto i = static_cast<std::size_t>(a->heap_slot);
     TIR_ASSERT(i < heap_.size() && heap_[i].act == a);
     heap_[i].key = a->heap_key;
@@ -187,10 +196,16 @@ class TimeHeap {
     }
   };
 
-  static bool less(const Entry& x, const Entry& y) {
-    if (x.key != y.key) return x.key < y.key;
-    return x.seq < y.seq;
+  /// Non-negative and not NaN (+inf included): the keys rank() orders.
+  static bool valid_key(double key) {
+    return std::bit_cast<std::uint64_t>(key) <= std::bit_cast<std::uint64_t>(kInfKey);
   }
+
+  static unsigned __int128 rank(const Entry& e) {
+    return (static_cast<unsigned __int128>(std::bit_cast<std::uint64_t>(e.key)) << 64) | e.seq;
+  }
+
+  static bool less(const Entry& x, const Entry& y) { return rank(x) < rank(y); }
 
   /// Lane of a duration's bit pattern, created on first use; -1 once the
   /// cap is reached and the duration has none.  Open addressing over twice
@@ -245,7 +260,10 @@ class TimeHeap {
     while (true) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
+      // The smaller child, chosen without a branch; a missing right child
+      // compares against the left one itself and loses.
+      const std::size_t right = child + 1 < n ? child + 1 : child;
+      child += static_cast<std::size_t>(less(heap_[right], heap_[child]));
       if (!less(heap_[child], e)) break;
       heap_[i] = heap_[child];
       heap_[i].act->heap_slot = static_cast<std::int32_t>(i);
@@ -258,6 +276,7 @@ class TimeHeap {
     }
   }
 
+  static constexpr double kInfKey = std::numeric_limits<double>::infinity();
   static constexpr int kSlotBits = 7;
   static constexpr std::size_t kSlots = std::size_t{1} << kSlotBits;
   static_assert(kSlots == 2 * kMaxLanes && kMaxLanes <= 127);

@@ -61,7 +61,7 @@ void World::spawn_ranks(std::function<sim::Coro(sim::Ctx&, int)> body) {
   }
 }
 
-sim::ActivityPtr World::make_transfer(int src, int dst, double bytes, bool start_now) {
+sim::ActivityHandle World::make_transfer(int src, int dst, double bytes, bool start_now) {
   const double lf = config_.piecewise.lat_factor(bytes);
   const double bf = config_.piecewise.bw_factor(bytes);
   return engine_.make_comm(rank_host(src), rank_host(dst), bytes, lf, bf, start_now);
@@ -123,11 +123,16 @@ Request World::isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag) {
     const bool tag_ok = it->tag == kAnyTag || it->tag == tag;
     if (src_ok && tag_ok) {
       fulfil(msg, it->request);
-      peer.posted.erase(it);
+      // Matches are almost always at the head of the queue.
+      if (it == peer.posted.begin()) {
+        peer.posted.pop_front();
+      } else {
+        peer.posted.erase(it);
+      }
       return req;
     }
   }
-  peer.unexpected.push_back(std::move(msg));
+  peer.unexpected.push_back(msg);
   return req;
 }
 
@@ -144,8 +149,12 @@ Request World::irecv(sim::Ctx& ctx, int me, int src, double bytes, int tag) {
     const bool tag_ok = tag == kAnyTag || tag == it->tag;
     if (src_ok && tag_ok) {
       if (it->rendezvous) engine_.start_activity(it->comm);
-      Request req = std::move(it->comm);
-      mine.unexpected.erase(it);
+      const Request req = it->comm;
+      if (it == mine.unexpected.begin()) {
+        mine.unexpected.pop_front();
+      } else {
+        mine.unexpected.erase(it);
+      }
       return req;
     }
   }
@@ -169,12 +178,12 @@ sim::Coro World::recv(sim::Ctx& ctx, int me, int src, double bytes, int tag) {
   }
 }
 
-sim::Coro World::wait(sim::Ctx& ctx, Request request) { co_await ctx.wait(std::move(request)); }
+sim::Coro World::wait(sim::Ctx& ctx, Request request) { co_await ctx.wait(request); }
 
 sim::Coro World::waitall(sim::Ctx& ctx, std::vector<Request> requests) {
   // Waiting consumes no resources, so awaiting sequentially completes at the
   // max of the completion times, which is MPI_Waitall semantics.
-  for (Request& r : requests) co_await ctx.wait(std::move(r));
+  for (const Request r : requests) co_await ctx.wait(r);
 }
 
 sim::WaitAnyAwaiter World::waitany(sim::Ctx& ctx, std::vector<Request> requests) {

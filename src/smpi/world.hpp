@@ -32,7 +32,7 @@ inline constexpr int kCollectiveTag = -4242;
 /// A nonblocking-operation handle: a gate completed when the operation is
 /// (MPI-)complete. For an eager isend that is after the local copy; for a
 /// rendezvous isend / any irecv it tracks the transfer.
-using Request = sim::ActivityPtr;
+using Request = sim::ActivityHandle;
 
 /// Cumulative operation counters (exposed for tests and efficiency benches).
 struct WorldStats {
@@ -99,7 +99,7 @@ class World {
     int tag = 0;
     double bytes = 0.0;
     bool rendezvous = false;
-    sim::ActivityPtr comm;  ///< pending (not started) when rendezvous
+    sim::ActivityHandle comm;  ///< pending (not started) when rendezvous
   };
   struct PostedRecv {
     int src = kAnySource;
@@ -114,7 +114,7 @@ class World {
   bool is_eager(double bytes) const { return bytes < config_.eager_threshold; }
 
   /// Create the transfer activity for src -> dst with piecewise factors.
-  sim::ActivityPtr make_transfer(int src, int dst, double bytes, bool start_now);
+  sim::ActivityHandle make_transfer(int src, int dst, double bytes, bool start_now);
 
   /// Attach a matched message to a posted request: start rendezvous
   /// transfers, chain completion.
@@ -132,8 +132,10 @@ class World {
   std::vector<int> rank_cores_;
   std::vector<RankState> ranks_;
   WorldStats stats_;
-  /// Shared pre-completed gate returned by every eager isend: the request is
-  /// complete the moment the call returns, so no per-message gate is needed.
+  /// Handle of a gate completed at construction, returned by every eager
+  /// isend: the request is complete the moment the call returns, so no
+  /// per-message gate is needed.  The gate's slot was freed on completion;
+  /// the handle keeps reading done() whoever reuses it.
   Request eager_done_;
 };
 

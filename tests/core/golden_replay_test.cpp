@@ -5,7 +5,8 @@
 // vs memory.  They cannot show that a change to the engine kept the
 // predictions of the engine before it.  This test does: it pins the exact
 // prediction (as a hexfloat), the engine step count and the replayed action
-// count of small LU traces, acquired in-test with fixed seeds, under every
+// count, plus the number of activities created (the time queue's tiebreak
+// sequence), of small LU traces, acquired in-test with fixed seeds, under every
 // back-end/sharing/resolve combination.  The acquisition run itself goes
 // through the same engine, so its makespan and step count are pinned too.
 //
@@ -88,7 +89,26 @@ constexpr Instance kInstances[] = {
          {0x1.90031138c699cp-4, 23903, 28240},  // msg-maxmin
      }},
 };
+
+/// ReplayResult::activities_created per mode (one per kModes entry) for the
+/// kInstances entry of the same index, recorded with the engine before its
+/// single-owner activity slots.  Kept apart from Instance so that the test
+/// parameter, and with it the printed test names, stays as it was.
+constexpr std::uint64_t kActivities[][std::size(kModes)] = {
+    {9554, 9558, 9558, 10754, 10730},
+    {16771, 16770, 16770, 21105, 20442},
+    {17685, 17689, 17689, 21612, 21480},
+};
+static_assert(std::size(kActivities) == std::size(kInstances));
 // clang-format on
+
+const std::uint64_t* activities_of(const Instance& inst) {
+  for (std::size_t i = 0; i < std::size(kInstances); ++i)
+    if (kInstances[i].graphene == inst.graphene && kInstances[i].cls == inst.cls &&
+        kInstances[i].nprocs == inst.nprocs && kInstances[i].seed == inst.seed)
+      return kActivities[i];
+  return nullptr;
+}
 
 std::string describe(const Expected& e) {
   char buf[96];
@@ -108,6 +128,8 @@ class GoldenReplay : public ::testing::TestWithParam<Instance> {};
 
 TEST_P(GoldenReplay, PredictionsMatchPinnedBits) {
   const Instance& inst = GetParam();
+  const std::uint64_t* activities = activities_of(inst);
+  ASSERT_NE(activities, nullptr);
   const exp::ClusterSetup bd = inst.graphene ? exp::graphene_setup() : exp::bordereau_setup();
   apps::LuConfig lu;
   lu.cls = apps::nas_class(inst.cls);
@@ -131,6 +153,7 @@ TEST_P(GoldenReplay, PredictionsMatchPinnedBits) {
     const ReplayResult r = replay(mode.backend, run.trace, bd.platform, cfg);
     expect_exact(inst.replays[m], {r.simulated_time, r.engine_steps, r.actions_replayed},
                  mode.name);
+    EXPECT_EQ(activities[m], r.activities_created) << mode.name;
   }
 }
 

@@ -49,7 +49,7 @@ TEST(Comm, LatencyAndBandwidthFactorsScale) {
 TEST(Comm, PendingCommWaitsForExplicitStart) {
   const platform::Platform p = quad();
   Engine eng(p);
-  ActivityPtr comm;
+  ActivityHandle comm;
   double receiver_end = 0.0;
   eng.spawn("receiver", 1, 0, [&](Ctx& ctx) -> Coro {
     co_await ctx.wait(comm);
@@ -92,7 +92,7 @@ TEST(Comm, UncontendedModeIgnoresSharing) {
   // the full link rate.
   eng.spawn("a", 0, 0, [](Ctx& ctx) -> Coro {
     Engine& e = ctx.engine();
-    std::vector<ActivityPtr> comms = {e.make_comm(0, 1, 1e6), e.make_comm(0, 2, 1e6)};
+    std::vector<ActivityHandle> comms = {e.make_comm(0, 1, 1e6), e.make_comm(0, 2, 1e6)};
     co_await ctx.wait(comms[0]);
     co_await ctx.wait(comms[1]);
   });
@@ -105,7 +105,7 @@ TEST(Comm, MaxMinModeSharesTheCommonUplink) {
   Engine eng(p, EngineConfig{Sharing::MaxMin});
   eng.spawn("a", 0, 0, [](Ctx& ctx) -> Coro {
     Engine& e = ctx.engine();
-    std::vector<ActivityPtr> comms = {e.make_comm(0, 1, 1e6), e.make_comm(0, 2, 1e6)};
+    std::vector<ActivityHandle> comms = {e.make_comm(0, 1, 1e6), e.make_comm(0, 2, 1e6)};
     co_await ctx.wait(comms[0]);
     co_await ctx.wait(comms[1]);
   });
@@ -135,7 +135,7 @@ TEST(Comm, MaxMinDisjointFlowsDoNotShare) {
 TEST(Comm, BothSenderAndReceiverCanAwaitTheSameComm) {
   const platform::Platform p = quad();
   Engine eng(p);
-  ActivityPtr comm;
+  ActivityHandle comm;
   double sender_end = 0.0;
   double receiver_end = 0.0;
   eng.spawn("sender", 0, 0, [&](Ctx& ctx) -> Coro {
@@ -183,12 +183,12 @@ TEST(Comm, EqualMessagesShareConstantDelayLanes) {
     constexpr int kMessages = 5;
     std::vector<double> done;
     eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
-      std::vector<ActivityPtr> comms;
+      std::vector<ActivityHandle> comms;
       // Three destinations, one route latency and bandwidth: one duration.
       for (int i = 0; i < kMessages; ++i) {
         comms.push_back(ctx.engine().make_comm(0, 1 + i % 3, 1e6));
       }
-      for (const ActivityPtr& c : comms) {
+      for (const ActivityHandle& c : comms) {
         co_await ctx.wait(c);
         done.push_back(ctx.now());
       }

@@ -158,7 +158,7 @@ TEST(Engine, NestedCoroutineExceptionPropagates) {
 TEST(Engine, GateBlocksUntilCompleted) {
   const platform::Platform p = two_hosts();
   Engine eng(p);
-  ActivityPtr gate;
+  ActivityHandle gate;
   double waiter_end = -1.0;
   eng.spawn("waiter", 0, 0, [&](Ctx& ctx) -> Coro {
     co_await ctx.wait(gate);
@@ -176,7 +176,7 @@ TEST(Engine, GateBlocksUntilCompleted) {
 TEST(Engine, DeadlockOnForeverBlockedActorThrows) {
   const platform::Platform p = two_hosts();
   Engine eng(p);
-  ActivityPtr gate;
+  ActivityHandle gate;
   eng.spawn("stuck", 0, 0, [&](Ctx& ctx) -> Coro { co_await ctx.wait(gate); });
   gate = eng.make_gate();
   EXPECT_THROW(eng.run(), SimError);
@@ -189,7 +189,7 @@ TEST(Engine, WaitAnyReturnsFirstCompletedIndex) {
   double when = -1.0;
   eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
     Engine& e = ctx.engine();
-    std::vector<ActivityPtr> acts = {e.start_timer(5.0), e.start_timer(2.0), e.start_timer(9.0)};
+    std::vector<ActivityHandle> acts = {e.start_timer(5.0), e.start_timer(2.0), e.start_timer(9.0)};
     which = co_await ctx.wait_any(acts);
     when = ctx.now();
   });
@@ -205,8 +205,8 @@ TEST(Engine, WaitAnyOnAlreadyDoneActivityIsImmediate) {
   int which = -1;
   eng.spawn("a", 0, 0, [&](Ctx& ctx) -> Coro {
     Engine& e = ctx.engine();
-    ActivityPtr done_exec = e.start_exec(0, 0, 0.0, 1e9);  // completes inline
-    std::vector<ActivityPtr> acts = {e.start_timer(5.0), done_exec};
+    ActivityHandle done_exec = e.start_exec(0, 0, 0.0, 1e9);  // completes inline
+    std::vector<ActivityHandle> acts = {e.start_timer(5.0), done_exec};
     which = co_await ctx.wait_any(acts);
   });
   eng.run();

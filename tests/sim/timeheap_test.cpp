@@ -2,12 +2,14 @@
 // random insert (lane and plain), update, remove and pop sequences against a
 // std::set<(key, seq)> reference, plus targeted cases for the lane paths —
 // equal keys, out-of-order appends, removal of non-head lane members,
-// overflow past the lane cap and ring-buffer wrap-around.
+// overflow past the lane cap and ring-buffer wrap-around — and for the
+// 128-bit comparison: edge keys order by value, others are refused.
 #include "sim/timeheap.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
 #include <set>
 #include <utility>
@@ -283,6 +285,41 @@ TEST(TimeHeapLanes, DurationsPastTheCapFallBackToTheHeap) {
   EXPECT_EQ(again->lane, acts[0]->lane);
   for (Activity* const a : acts) EXPECT_EQ(q.pop(), a);
   EXPECT_EQ(q.pop(), again);
+}
+
+TEST(TimeHeap, EdgeKeysOrderByValueThenSeq) {
+  CheckedHeap q;
+  const double keys[] = {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::max(),
+                         1.0,
+                         std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min(),
+                         0.0};
+  std::vector<Activity*> order;  // expected pop order
+  std::uint64_t seq = 100;
+  for (const double key : keys) {
+    // Two seqs per key, the larger inserted first.
+    Activity* const hi = q.make(seq--);
+    Activity* const lo = q.make(seq--);
+    q.insert(hi, key);
+    q.insert(lo, key);
+    order.insert(order.begin(), {lo, hi});
+  }
+  for (Activity* const a : order) EXPECT_EQ(q.pop(), a);
+}
+
+TEST(TimeHeap, RefusesKeysOutsideTheBitOrder) {
+  for (const double key : {-0.0, -1.0, std::numeric_limits<double>::quiet_NaN()}) {
+    TimeHeap heap;
+    Activity a;
+    a.heap_key = key;
+    EXPECT_THROW(heap.insert(&a), InternalError) << key;
+    EXPECT_THROW(heap.insert_lane(&a, key), InternalError) << key;
+    Activity b;
+    heap.insert(&b);
+    b.heap_key = key;
+    EXPECT_THROW(heap.update(&b), InternalError) << key;
+  }
 }
 
 }  // namespace
