@@ -13,10 +13,10 @@
 //
 // Everything printed is also written to BENCH_replay_speed.json so the CI
 // can track throughput across commits.  The final section guards the
-// observability hooks (src/obs): replay with no sink attached must stay
-// within 1% of the throughput of replay with a NullSink attached removed —
-// i.e. the guarded `if (sink)` checks on the hot paths must be free.  The
-// bench exits nonzero when that budget is exceeded.
+// observability hooks (src/obs): a replay with a NullSink attached must
+// stay within 5% of the no-sink replay time, read as the median of paired
+// ratios — i.e. the guarded `if (sink)` checks on the hot paths must be
+// nearly free.  The bench exits nonzero when that budget is exceeded.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -34,6 +34,7 @@
 #include <unistd.h>
 #endif
 
+#include "base/stats.hpp"
 #include "ckpt/cursor.hpp"
 #include "core/mc_sweep.hpp"
 #include "core/replay.hpp"
@@ -72,10 +73,11 @@ struct StreamRecord {
 
 struct SinkRecord {
   double actions = 0;
-  int repetitions = 0;
-  double no_sink_wall = 0, no_sink_rate = 0;
-  double null_sink_wall = 0, null_sink_rate = 0;
-  double overhead = 0;  ///< throughput lost to the hooks, as a fraction
+  int repetitions = 0;  ///< interleaved no-sink/NullSink pairs
+  double no_sink_wall = 0, no_sink_rate = 0;      ///< median over the pairs
+  double null_sink_wall = 0, null_sink_rate = 0;  ///< median over the pairs
+  double overhead = 0;      ///< median per-pair NullSink/no-sink wall ratio, minus 1
+  double overhead_iqr = 0;  ///< interquartile range of the per-pair ratios
   double budget = 0.05;
   bool pass = false;
 };
@@ -398,18 +400,20 @@ void run_kernel_case(int n, double required) {
 // longer exists in this tree, so the bench asserts the dominating cost
 // instead: a NullSink-attached replay pays the guard *plus* full virtual
 // dispatch on every event, strictly more than the bare guard.  The budget
-// is 5% of no-sink throughput: since the incremental kernel cut the
-// engine's per-action cost severalfold, the few nanoseconds of per-step
-// dispatch (on_time_advance plus one on_comm_progress per transferring
-// comm, measured ~2% here) are now a visible fraction of a much smaller
-// denominator — the budget catches accidental O(running) work or
-// allocation creeping onto a hook path, not the irreducible indirect
-// calls.  Best-of-N interleaved replays; best-of defeats scheduler noise.
+// is 5% of no-sink replay time; it catches accidental O(running) work or
+// allocation creeping onto a hook path, not the irreducible indirect calls.
+//
+// The reading is a median of paired ratios, not a ratio of two best-ofs:
+// the hook cost is a fixed few ns per action while the host's speed drifts
+// by more than that between runs, so each pair runs its two replays back to
+// back (alternating which goes first) and the gate reads the median of the
+// per-pair NullSink/no-sink ratios.  The replay (B-8, 250 iterations) is
+// long enough that one run sits far above timer and scheduler resolution.
 SinkRecord run_sink_overhead(const exp::ClusterSetup& cluster) {
   apps::LuConfig lu;
   lu.cls = apps::nas_class('B');
   lu.nprocs = 8;
-  lu.iterations_override = 50;
+  lu.iterations_override = 250;
   const apps::MachineModel machine(cluster.truth);
   apps::AcquisitionConfig acq;
   acq.granularity = hwc::Granularity::Minimal;
@@ -422,32 +426,47 @@ SinkRecord run_sink_overhead(const exp::ClusterSetup& cluster) {
   obs::NullSink null_sink;
   core::ReplayConfig null_sink_cfg = no_sink_cfg;
   null_sink_cfg.sink = &null_sink;
+  const auto wall = [&](const core::ReplayConfig& cfg) {
+    return core::replay_smpi(traced.trace, cluster.platform, cfg).wall_clock_seconds;
+  };
 
   SinkRecord rec;
   rec.actions = static_cast<double>(traced.trace.total_actions());
-  rec.repetitions = 7;
-  double best_none = 1e300, best_null = 1e300;
+  rec.repetitions = 15;
+  std::vector<double> none, null, ratios;
   for (int i = 0; i < rec.repetitions; ++i) {
-    best_none = std::min(
-        best_none,
-        core::replay_smpi(traced.trace, cluster.platform, no_sink_cfg).wall_clock_seconds);
-    best_null = std::min(
-        best_null,
-        core::replay_smpi(traced.trace, cluster.platform, null_sink_cfg).wall_clock_seconds);
+    double t_none = 0, t_null = 0;
+    if (i % 2 == 0) {
+      t_none = wall(no_sink_cfg);
+      t_null = wall(null_sink_cfg);
+    } else {
+      t_null = wall(null_sink_cfg);
+      t_none = wall(no_sink_cfg);
+    }
+    none.push_back(t_none);
+    null.push_back(t_null);
+    ratios.push_back(t_null / std::max(t_none, 1e-9));
   }
-  rec.no_sink_wall = best_none;
-  rec.no_sink_rate = rec.actions / std::max(best_none, 1e-9);
-  rec.null_sink_wall = best_null;
-  rec.null_sink_rate = rec.actions / std::max(best_null, 1e-9);
-  rec.overhead = best_null / std::max(best_none, 1e-9) - 1.0;
+  const stats::Summary ratio = stats::summarize(ratios);
+  rec.no_sink_wall = stats::summarize(none).median;
+  rec.no_sink_rate = rec.actions / std::max(rec.no_sink_wall, 1e-9);
+  rec.null_sink_wall = stats::summarize(null).median;
+  rec.null_sink_rate = rec.actions / std::max(rec.null_sink_wall, 1e-9);
+  rec.overhead = ratio.median - 1.0;
+  rec.overhead_iqr = ratio.q3 - ratio.q1;
   rec.pass = rec.overhead < rec.budget;
 
-  std::printf("\nObservability hook cost (best of %d replays each, %s, %.0f actions):\n",
+  std::printf("\nObservability hook cost (%d interleaved pairs, %s, %.0f actions):\n",
               rec.repetitions, lu.label().c_str(), rec.actions);
-  std::printf("  no sink   %8.3fs %10.0f actions/s\n", rec.no_sink_wall, rec.no_sink_rate);
-  std::printf("  NullSink  %8.3fs %10.0f actions/s\n", rec.null_sink_wall, rec.null_sink_rate);
-  std::printf("  NullSink dispatch+walk cost over no-sink: %+.2f%% (budget < %.0f%%) -> %s\n",
-              100.0 * rec.overhead, 100.0 * rec.budget, rec.pass ? "PASS" : "FAIL");
+  std::printf("  no sink   %8.3fs %10.0f actions/s (median)\n", rec.no_sink_wall,
+              rec.no_sink_rate);
+  std::printf("  NullSink  %8.3fs %10.0f actions/s (median)\n", rec.null_sink_wall,
+              rec.null_sink_rate);
+  std::printf(
+      "  NullSink dispatch+walk cost over no-sink: %+.2f%% median of pair ratios, IQR %.2f%% "
+      "(budget < %.0f%%) -> %s\n",
+      100.0 * rec.overhead, 100.0 * rec.overhead_iqr, 100.0 * rec.budget,
+      rec.pass ? "PASS" : "FAIL");
   std::fflush(stdout);
   return rec;
 }
@@ -806,6 +825,7 @@ void write_report(const std::string& path, const SinkRecord& sink, const SweepRe
   out << "    \"with_null_sink\": {\"wall_seconds\": " << sink.null_sink_wall
       << ", \"actions_per_second\": " << sink.null_sink_rate << "},\n";
   out << "    \"overhead_fraction\": " << sink.overhead << ",\n";
+  out << "    \"overhead_iqr_fraction\": " << sink.overhead_iqr << ",\n";
   out << "    \"budget_fraction\": " << sink.budget << ",\n";
   out << "    \"pass\": " << (sink.pass ? "true" : "false") << "\n  }\n}\n";
   if (!out) std::fprintf(stderr, "warning: could not write %s\n", path.c_str());

@@ -51,7 +51,7 @@ void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v) {
   put_varint(out, (u << 1) ^ static_cast<std::uint64_t>(v >> 63));
 }
 
-std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
   std::uint64_t v = 0;
   for (int shift = 0; shift < 64; shift += 7) {
     if (pos >= size) throw ParseError("truncated varint");

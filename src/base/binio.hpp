@@ -17,9 +17,17 @@ void put_varint(std::vector<std::uint8_t>& out, std::uint64_t v);
 /// (-1 -> 1, 1 -> 2, -2 -> 3, ...), then varint-encode it.
 void put_varint_signed(std::vector<std::uint8_t>& out, std::int64_t v);
 
+/// get_varint's multi-byte case (out of line: it owns the error paths).
+std::uint64_t get_varint_long(const std::uint8_t* data, std::size_t size, std::size_t& pos);
+
 /// Decode one varint from data[pos...). Advances pos past the varint.
 /// Throws tir::ParseError on truncation or a >10-byte (overlong) encoding.
-std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos);
+/// A one-byte varint (values below 128: most partner ranks and flags)
+/// decodes inline.
+inline std::uint64_t get_varint(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos < size && data[pos] < 0x80u) return data[pos++];
+  return get_varint_long(data, size, pos);
+}
 
 /// Decode a zigzag-folded signed varint.
 std::int64_t get_varint_signed(const std::uint8_t* data, std::size_t size, std::size_t& pos);

@@ -150,6 +150,14 @@ bool CheckpointRecorder::next(int rank, tit::Action& out) {
   return true;
 }
 
+std::span<const tit::Action> CheckpointRecorder::next_batch(int rank) {
+  tit::Action a;
+  if (!inner_.next(rank, a)) return {};
+  tit::Action& pending = ranks_[static_cast<std::size_t>(rank)].pending;
+  pending = a;
+  return {&pending, 1};
+}
+
 void CheckpointRecorder::rewind() {
   inner_.rewind();
   reset();

@@ -101,6 +101,9 @@ class CheckpointRecorder final : public titio::ActionSource, public obs::Sink {
   // --- ActionSource ---------------------------------------------------------
   int nprocs() const override { return inner_.nprocs(); }
   bool next(int rank, tit::Action& out) override;
+  /// One action per pull, served from the rank's `pending` record: the
+  /// recorder must know which action each rank is replaying.
+  std::span<const tit::Action> next_batch(int rank) override;
   std::uint64_t skipped_actions() const override { return inner_.skipped_actions(); }
   void rewind() override;
 

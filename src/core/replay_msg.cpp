@@ -14,6 +14,7 @@
 #include <cmath>
 #include <deque>
 #include <memory>
+#include <span>
 
 #include "core/session.hpp"
 #include "msg/msg.hpp"
@@ -67,18 +68,23 @@ sim::Coro monolithic(sim::Ctx& ctx, OldReplayShared& shared, double delay) {
 
 /// Per-rank state behind the engine's deadlock/watchdog diagnosis (same
 /// shape as the new back-end's; see replay_smpi.cpp).  Plain data only: the
-/// hot loop records what the rank blocks on, and describe_rank() formats the
-/// text on the rare path that needs it (deadlock/watchdog reports).
+/// hot loop records what the rank blocks on and where it is in its batch,
+/// and describe_rank() formats the text on the rare path that needs it
+/// (deadlock/watchdog reports).
 struct RankDiag {
   enum class Wait : std::uint8_t { None, Mailbox, OldestRequest, AllRequests, Collective };
 
-  tit::Action last{};
-  std::uint64_t completed = 0;
+  std::span<const tit::Action> batch;  ///< valid until this rank's next pull
+  std::size_t at = 0;                  ///< index in `batch` of the action in progress
+  tit::Action carried{};               ///< the previous batch's last action
+  std::uint64_t before = 0;            ///< actions completed before `batch`
   Wait wait = Wait::None;
-  tit::Action wait_action{};     ///< the blocking action (Mailbox/Collective)
   int box_src = 0;               ///< mailbox "<src>_<dst>" (Wait::Mailbox)
   int box_dst = 0;
   std::uint64_t wait_count = 0;  ///< outstanding requests (AllRequests)
+
+  std::uint64_t completed() const { return before + at; }
+  const tit::Action& last() const { return at > 0 ? batch[at - 1] : carried; }
 };
 
 std::string describe_rank(const RankDiag& diag) {
@@ -89,7 +95,7 @@ std::string describe_rank(const RankDiag& diag) {
       break;
     case RankDiag::Wait::Mailbox:
       s = "blocked on mailbox " + box_name(diag.box_src, diag.box_dst) + ": " +
-          tit::to_line(diag.wait_action);
+          tit::to_line(diag.batch[diag.at]);
       break;
     case RankDiag::Wait::OldestRequest:
       s = "blocked on wait (oldest outstanding request)";
@@ -98,26 +104,16 @@ std::string describe_rank(const RankDiag& diag) {
       s = "blocked on waitall (" + std::to_string(diag.wait_count) + " outstanding request(s))";
       break;
     case RankDiag::Wait::Collective:
-      s = "blocked on collective rendezvous: " + tit::to_line(diag.wait_action);
+      s = "blocked on collective rendezvous: " + tit::to_line(diag.batch[diag.at]);
       break;
   }
-  if (diag.completed > 0) {
-    s += "; last completed: " + tit::to_line(diag.last) + " (action #" +
-         std::to_string(diag.completed - 1) + ")";
+  if (diag.completed() > 0) {
+    s += "; last completed: " + tit::to_line(diag.last()) + " (action #" +
+         std::to_string(diag.completed() - 1) + ")";
   } else {
     s += "; no action completed yet";
   }
   return s;
-}
-
-void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
-  if (a.partner < 0 || a.partner >= nprocs) {
-    throw MalformedTraceError("p" + std::to_string(me) +
-                              ": partner out of range: " + tit::to_line(a));
-  }
-  if (a.partner == me) {
-    throw MalformedTraceError("p" + std::to_string(me) + ": self-message: " + tit::to_line(a));
-  }
 }
 
 sim::Coro replay_rank_msg(sim::Ctx& ctx, int me, titio::ActionSource& source,
@@ -152,124 +148,119 @@ sim::Coro replay_rank_msg(sim::Ctx& ctx, int me, titio::ActionSource& source,
     const double t = config.resume->times[static_cast<std::size_t>(me)];
     if (t > 0.0) co_await ctx.sleep(t);
   }
-  tit::Action a;
-  while (source.next(me, a)) {
-    ++actions;
-    if (sink != nullptr) {
-      sink->on_phase_begin(obs::phase_event(me, a, collective_site), ctx.now());
-      if (obs::is_collective(a.type)) ++collective_site;
-      if (a.type == tit::ActionType::Send || a.type == tit::ActionType::Isend) {
-        // The MSG layer has no protocol split; classify by the old
-        // back-end's own 64 KiB async/blocking threshold.
-        sink->on_message(me, a.partner, a.volume, a.volume < kSmallMessage, false);
+  for (;;) {
+    diag.batch = source.next_batch(me);
+    if (diag.batch.empty()) break;
+    for (diag.at = 0; diag.at < diag.batch.size(); ++diag.at) {
+      prefetch_ahead(diag.batch, diag.at);
+      const tit::Action& a = diag.batch[diag.at];
+      ++actions;
+      if (sink != nullptr) {
+        sink->on_phase_begin(obs::phase_event(me, a, collective_site), ctx.now());
+        if (obs::is_collective(a.type)) ++collective_site;
+        if (a.type == tit::ActionType::Send || a.type == tit::ActionType::Isend) {
+          // The MSG layer has no protocol split; classify by the old
+          // back-end's own 64 KiB async/blocking threshold.
+          sink->on_message(me, a.partner, a.volume, a.volume < kSmallMessage, false);
+        }
       }
-    }
-    switch (a.type) {
-      case tit::ActionType::Init:
-      case tit::ActionType::Finalize:
-        break;
-      case tit::ActionType::Compute:
-        co_await ctx.execute_at(a.volume, rate);
-        break;
-      case tit::ActionType::Send:
-        check_p2p_partner(me, n, a);
-        // The paper's old action_send: async below 64 KiB, blocking above.
-        if (a.volume < kSmallMessage) {
-          shared.mailboxes.send_async(ctx, out_box(a.partner), a.volume);
-        } else {
+      check_partner(me, n, a);
+      switch (a.type) {
+        case tit::ActionType::Init:
+        case tit::ActionType::Finalize:
+          break;
+        case tit::ActionType::Compute:
+          co_await ctx.execute_at(a.volume, rate);
+          break;
+        case tit::ActionType::Send:
+          // The paper's old action_send: async below 64 KiB, blocking above.
+          if (a.volume < kSmallMessage) {
+            shared.mailboxes.send_async(ctx, out_box(a.partner), a.volume);
+          } else {
+            diag.wait = RankDiag::Wait::Mailbox;
+            diag.box_src = me;
+            diag.box_dst = a.partner;
+            // Flattened send(): isend + wait without the nested coroutine frame.
+            co_await ctx.wait(shared.mailboxes.isend(ctx, out_box(a.partner), a.volume));
+          }
+          break;
+        case tit::ActionType::Isend:
+          outstanding.push_back(shared.mailboxes.isend(ctx, out_box(a.partner), a.volume));
+          break;
+        case tit::ActionType::Recv:
+        case tit::ActionType::Irecv: {
+          // The old framework had no true nonblocking receive; irecv degraded
+          // to a blocking mailbox read (one of its crude simplifications).
           diag.wait = RankDiag::Wait::Mailbox;
-          diag.wait_action = a;
-          diag.box_src = me;
-          diag.box_dst = a.partner;
-          // Flattened send(): isend + wait without the nested coroutine frame.
-          co_await ctx.wait(shared.mailboxes.isend(ctx, out_box(a.partner), a.volume));
+          diag.box_src = a.partner;
+          diag.box_dst = me;
+          // Flattened recv(): this loop runs once per received message, so the
+          // nested coroutine frame recv() allocates is pure overhead here.  The
+          // slot lives in this frame, which outlives the match (we await it).
+          msg::RecvSlot slot;
+          msg::Request r = shared.mailboxes.match_or_post(ctx, in_box(a.partner), slot);
+          if (r == nullptr) {
+            co_await ctx.wait(slot.matched);
+            r = slot.comm;
+          }
+          co_await ctx.wait(r);
+          break;
         }
-        break;
-      case tit::ActionType::Isend:
-        check_p2p_partner(me, n, a);
-        outstanding.push_back(shared.mailboxes.isend(ctx, out_box(a.partner), a.volume));
-        break;
-      case tit::ActionType::Recv:
-      case tit::ActionType::Irecv: {
-        check_p2p_partner(me, n, a);
-        // The old framework had no true nonblocking receive; irecv degraded
-        // to a blocking mailbox read (one of its crude simplifications).
-        diag.wait = RankDiag::Wait::Mailbox;
-        diag.wait_action = a;
-        diag.box_src = a.partner;
-        diag.box_dst = me;
-        // Flattened recv(): this loop runs once per received message, so the
-        // nested coroutine frame recv() allocates is pure overhead here.  The
-        // slot lives in this frame, which outlives the match (we await it).
-        msg::RecvSlot slot;
-        msg::Request r = shared.mailboxes.match_or_post(ctx, in_box(a.partner), slot);
-        if (r == nullptr) {
-          co_await ctx.wait(slot.matched);
-          r = slot.comm;
-        }
-        co_await ctx.wait(r);
-        break;
+        case tit::ActionType::Wait:
+          if (!outstanding.empty()) {
+            diag.wait = RankDiag::Wait::OldestRequest;
+            const msg::Request r = outstanding.front();
+            outstanding.pop_front();
+            co_await ctx.wait(r);
+          }
+          break;
+        case tit::ActionType::WaitAll:
+          diag.wait = RankDiag::Wait::AllRequests;
+          diag.wait_count = outstanding.size();
+          while (!outstanding.empty()) {
+            const msg::Request r = outstanding.front();
+            outstanding.pop_front();
+            co_await ctx.wait(r);
+          }
+          break;
+        case tit::ActionType::Barrier:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, shared.model.stage(1.0));
+          break;
+        case tit::ActionType::Bcast:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
+          break;
+        case tit::ActionType::Reduce:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
+          co_await ctx.execute_at(std::max(a.volume2, 1.0), rate);
+          break;
+        case tit::ActionType::AllReduce:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, 2.0 * shared.model.tree(n, a.volume));
+          co_await ctx.execute_at(std::max(a.volume2, 1.0), rate);
+          break;
+        case tit::ActionType::AllToAll:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, (n - 1) * shared.model.stage(a.volume));
+          break;
+        case tit::ActionType::AllGather:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, (n - 1) * shared.model.stage(a.volume));
+          break;
+        case tit::ActionType::Gather:
+        case tit::ActionType::Scatter:
+          diag.wait = RankDiag::Wait::Collective;
+          co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
+          break;
       }
-      case tit::ActionType::Wait:
-        if (!outstanding.empty()) {
-          diag.wait = RankDiag::Wait::OldestRequest;
-          const msg::Request r = outstanding.front();
-          outstanding.pop_front();
-          co_await ctx.wait(r);
-        }
-        break;
-      case tit::ActionType::WaitAll:
-        diag.wait = RankDiag::Wait::AllRequests;
-        diag.wait_count = outstanding.size();
-        while (!outstanding.empty()) {
-          const msg::Request r = outstanding.front();
-          outstanding.pop_front();
-          co_await ctx.wait(r);
-        }
-        break;
-      case tit::ActionType::Barrier:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, shared.model.stage(1.0));
-        break;
-      case tit::ActionType::Bcast:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
-        break;
-      case tit::ActionType::Reduce:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
-        co_await ctx.execute_at(std::max(a.volume2, 1.0), rate);
-        break;
-      case tit::ActionType::AllReduce:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, 2.0 * shared.model.tree(n, a.volume));
-        co_await ctx.execute_at(std::max(a.volume2, 1.0), rate);
-        break;
-      case tit::ActionType::AllToAll:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, (n - 1) * shared.model.stage(a.volume));
-        break;
-      case tit::ActionType::AllGather:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, (n - 1) * shared.model.stage(a.volume));
-        break;
-      case tit::ActionType::Gather:
-      case tit::ActionType::Scatter:
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        co_await monolithic(ctx, shared, shared.model.tree(n, a.volume));
-        break;
+      if (sink != nullptr) sink->on_phase_end(me, ctx.now());
+      diag.wait = RankDiag::Wait::None;
     }
-    if (sink != nullptr) sink->on_phase_end(me, ctx.now());
-    diag.last = a;
-    ++diag.completed;
-    diag.wait = RankDiag::Wait::None;
+    diag.carried = diag.batch.back();
+    diag.before += diag.batch.size();
+    diag.at = 0;
   }
 }
 

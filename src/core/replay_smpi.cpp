@@ -3,6 +3,7 @@
 // `p0 send p1 1240` becomes a plain smpi_mpi_send() and every protocol
 // subtlety lives in the runtime, not in the replay code.
 #include <deque>
+#include <span>
 
 #include "core/session.hpp"
 #include "obs/replay_events.hpp"
@@ -20,17 +21,24 @@ namespace {
 /// Kept as plain data on purpose: formatting the diagnosis text per action
 /// would dominate the replay hot loop, so the loop only records *what* the
 /// rank blocks on and describe_rank() renders the string on the rare path
-/// that actually needs it (deadlock/watchdog reports).
+/// that actually needs it (deadlock/watchdog reports).  The actions
+/// themselves are not copied: the loop's position in the batch it is
+/// replaying names the action in progress and the last completed one, and
+/// only the last action of each finished batch is carried over.
 struct RankDiag {
   enum class Wait : std::uint8_t { None, Action, OldestRequest, AllRequests, Collective };
 
-  tit::Action last{};
-  std::uint64_t completed = 0;
+  std::span<const tit::Action> batch;  ///< valid until this rank's next pull
+  std::size_t at = 0;                  ///< index in `batch` of the action in progress
+  tit::Action carried{};               ///< the previous batch's last action
+  std::uint64_t before = 0;            ///< actions completed before `batch`
   std::uint64_t collective_site = 0;  ///< matches the static validator's numbering
   Wait wait = Wait::None;
-  tit::Action wait_action{};     ///< the blocking action (Wait::Action/Collective)
   std::uint64_t wait_count = 0;  ///< outstanding requests (OldestRequest/AllRequests)
   std::uint64_t wait_site = 0;   ///< collective site at block time
+
+  std::uint64_t completed() const { return before + at; }
+  const tit::Action& last() const { return at > 0 ? batch[at - 1] : carried; }
 };
 
 std::string describe_rank(const RankDiag& diag) {
@@ -40,7 +48,7 @@ std::string describe_rank(const RankDiag& diag) {
       s = "blocked";
       break;
     case RankDiag::Wait::Action:
-      s = "blocked on " + tit::to_line(diag.wait_action);
+      s = "blocked on " + tit::to_line(diag.batch[diag.at]);
       break;
     case RankDiag::Wait::OldestRequest:
       s = "blocked on wait (oldest of " + std::to_string(diag.wait_count) +
@@ -51,29 +59,16 @@ std::string describe_rank(const RankDiag& diag) {
       break;
     case RankDiag::Wait::Collective:
       s = "blocked on collective site " + std::to_string(diag.wait_site) + ": " +
-          tit::to_line(diag.wait_action);
+          tit::to_line(diag.batch[diag.at]);
       break;
   }
-  if (diag.completed > 0) {
-    s += "; last completed: " + tit::to_line(diag.last) + " (action #" +
-         std::to_string(diag.completed - 1) + ")";
+  if (diag.completed() > 0) {
+    s += "; last completed: " + tit::to_line(diag.last()) + " (action #" +
+         std::to_string(diag.completed() - 1) + ")";
   } else {
     s += "; no action completed yet";
   }
   return s;
-}
-
-/// Spot checks on streamed actions that static validation cannot cover
-/// (a streaming source is never materialized, so replay is the first place
-/// the whole action is visible).
-void check_p2p_partner(int me, int nprocs, const tit::Action& a) {
-  if (a.partner < 0 || a.partner >= nprocs) {
-    throw MalformedTraceError("p" + std::to_string(me) +
-                              ": partner out of range: " + tit::to_line(a));
-  }
-  if (a.partner == me) {
-    throw MalformedTraceError("p" + std::to_string(me) + ": self-message: " + tit::to_line(a));
-  }
 }
 
 sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
@@ -99,118 +94,123 @@ sim::Coro replay_rank_smpi(sim::Ctx& ctx, int me, titio::ActionSource& source,
     const double t = config.resume->times[static_cast<std::size_t>(me)];
     if (t > 0.0) co_await ctx.sleep(t);
   }
-  tit::Action a;
-  while (source.next(me, a)) {
-    ++actions;
-    if (sink != nullptr) {
-      sink->on_phase_begin(
-          obs::phase_event(me, a, static_cast<std::int64_t>(diag.collective_site)), ctx.now());
-    }
-    switch (a.type) {
-      case tit::ActionType::Init:
-      case tit::ActionType::Finalize:
-        break;
-      case tit::ActionType::Compute:
-        co_await ctx.execute_at(a.volume, rate);
-        break;
-      case tit::ActionType::Send:
-        check_p2p_partner(me, world.size(), a);
-        diag.wait = RankDiag::Wait::Action;
-        diag.wait_action = a;
-        if (zero_copy_cost && a.volume < wcfg.eager_threshold) {
-          (void)world.isend(ctx, me, a.partner, a.volume);
-        } else {
-          co_await world.send(ctx, me, a.partner, a.volume);
-        }
-        break;
-      case tit::ActionType::Isend:
-        check_p2p_partner(me, world.size(), a);
-        outstanding.push_back(world.isend(ctx, me, a.partner, a.volume));
-        break;
-      case tit::ActionType::Recv:
-        check_p2p_partner(me, world.size(), a);
-        diag.wait = RankDiag::Wait::Action;
-        diag.wait_action = a;
-        if (zero_copy_cost) {
-          co_await ctx.wait(world.irecv(ctx, me, a.partner, a.volume));
-        } else {
-          co_await world.recv(ctx, me, a.partner, a.volume);
-        }
-        break;
-      case tit::ActionType::Irecv:
-        check_p2p_partner(me, world.size(), a);
-        outstanding.push_back(world.irecv(ctx, me, a.partner, a.volume));
-        break;
-      case tit::ActionType::Wait: {
-        if (outstanding.empty()) {
-          throw MalformedTraceError("p" + std::to_string(me) +
-                                    ": wait with no outstanding request");
-        }
-        diag.wait = RankDiag::Wait::OldestRequest;
-        diag.wait_count = outstanding.size();
-        const smpi::Request r = outstanding.front();
-        outstanding.pop_front();
-        co_await ctx.wait(r);
-        break;
+  const int n = world.size();
+  for (;;) {
+    diag.batch = source.next_batch(me);
+    if (diag.batch.empty()) break;
+    for (diag.at = 0; diag.at < diag.batch.size(); ++diag.at) {
+      prefetch_ahead(diag.batch, diag.at);
+      const tit::Action& a = diag.batch[diag.at];
+      ++actions;
+      if (sink != nullptr) {
+        sink->on_phase_begin(
+            obs::phase_event(me, a, static_cast<std::int64_t>(diag.collective_site)), ctx.now());
       }
-      case tit::ActionType::WaitAll: {
-        diag.wait = RankDiag::Wait::AllRequests;
-        diag.wait_count = outstanding.size();
-        // Sequential awaits complete at the max of the completion times,
-        // which is MPI_Waitall semantics (waiting consumes no resources).
-        while (!outstanding.empty()) {
+      switch (a.type) {
+        case tit::ActionType::Init:
+        case tit::ActionType::Finalize:
+          break;
+        case tit::ActionType::Compute:
+          co_await ctx.execute_at(a.volume, rate);
+          break;
+        case tit::ActionType::Send:
+          check_partner(me, n, a);
+          diag.wait = RankDiag::Wait::Action;
+          if (zero_copy_cost && a.volume < wcfg.eager_threshold) {
+            (void)world.isend(ctx, me, a.partner, a.volume);
+          } else {
+            co_await world.send(ctx, me, a.partner, a.volume);
+          }
+          break;
+        case tit::ActionType::Isend:
+          check_partner(me, n, a);
+          outstanding.push_back(world.isend(ctx, me, a.partner, a.volume));
+          break;
+        case tit::ActionType::Recv:
+          check_partner(me, n, a);
+          diag.wait = RankDiag::Wait::Action;
+          if (zero_copy_cost) {
+            co_await ctx.wait(world.irecv(ctx, me, a.partner, a.volume));
+          } else {
+            co_await world.recv(ctx, me, a.partner, a.volume);
+          }
+          break;
+        case tit::ActionType::Irecv:
+          check_partner(me, n, a);
+          outstanding.push_back(world.irecv(ctx, me, a.partner, a.volume));
+          break;
+        case tit::ActionType::Wait: {
+          if (outstanding.empty()) {
+            throw MalformedTraceError("p" + std::to_string(me) +
+                                      ": wait with no outstanding request");
+          }
+          diag.wait = RankDiag::Wait::OldestRequest;
+          diag.wait_count = outstanding.size();
           const smpi::Request r = outstanding.front();
           outstanding.pop_front();
           co_await ctx.wait(r);
+          break;
         }
-        break;
-      }
-      case tit::ActionType::Barrier:
-      case tit::ActionType::Bcast:
-      case tit::ActionType::Reduce:
-      case tit::ActionType::AllReduce:
-      case tit::ActionType::AllToAll:
-      case tit::ActionType::AllGather:
-      case tit::ActionType::Gather:
-      case tit::ActionType::Scatter: {
-        diag.wait = RankDiag::Wait::Collective;
-        diag.wait_action = a;
-        diag.wait_site = diag.collective_site;
-        ++diag.collective_site;
-        const int root = a.partner >= 0 ? a.partner : 0;
-        switch (a.type) {
-          case tit::ActionType::Barrier:
-            co_await world.barrier(ctx, me);
-            break;
-          case tit::ActionType::Bcast:
-            co_await world.bcast(ctx, me, a.volume, root);
-            break;
-          case tit::ActionType::Reduce:
-            co_await world.reduce(ctx, me, a.volume, a.volume2, root);
-            break;
-          case tit::ActionType::AllReduce:
-            co_await world.allreduce(ctx, me, a.volume, a.volume2);
-            break;
-          case tit::ActionType::AllToAll:
-            co_await world.alltoall(ctx, me, a.volume);
-            break;
-          case tit::ActionType::AllGather:
-            co_await world.allgather(ctx, me, a.volume);
-            break;
-          case tit::ActionType::Gather:
-            co_await world.gather(ctx, me, a.volume, root);
-            break;
-          default:
-            co_await world.scatter(ctx, me, a.volume, root);
-            break;
+        case tit::ActionType::WaitAll: {
+          diag.wait = RankDiag::Wait::AllRequests;
+          diag.wait_count = outstanding.size();
+          // Sequential awaits complete at the max of the completion times,
+          // which is MPI_Waitall semantics (waiting consumes no resources).
+          while (!outstanding.empty()) {
+            const smpi::Request r = outstanding.front();
+            outstanding.pop_front();
+            co_await ctx.wait(r);
+          }
+          break;
         }
-        break;
+        case tit::ActionType::Barrier:
+        case tit::ActionType::Bcast:
+        case tit::ActionType::Reduce:
+        case tit::ActionType::AllReduce:
+        case tit::ActionType::AllToAll:
+        case tit::ActionType::AllGather:
+        case tit::ActionType::Gather:
+        case tit::ActionType::Scatter: {
+          check_partner(me, n, a);
+          diag.wait = RankDiag::Wait::Collective;
+          diag.wait_site = diag.collective_site;
+          ++diag.collective_site;
+          const int root = a.partner >= 0 ? a.partner : 0;
+          switch (a.type) {
+            case tit::ActionType::Barrier:
+              co_await world.barrier(ctx, me);
+              break;
+            case tit::ActionType::Bcast:
+              co_await world.bcast(ctx, me, a.volume, root);
+              break;
+            case tit::ActionType::Reduce:
+              co_await world.reduce(ctx, me, a.volume, a.volume2, root);
+              break;
+            case tit::ActionType::AllReduce:
+              co_await world.allreduce(ctx, me, a.volume, a.volume2);
+              break;
+            case tit::ActionType::AllToAll:
+              co_await world.alltoall(ctx, me, a.volume);
+              break;
+            case tit::ActionType::AllGather:
+              co_await world.allgather(ctx, me, a.volume);
+              break;
+            case tit::ActionType::Gather:
+              co_await world.gather(ctx, me, a.volume, root);
+              break;
+            default:
+              co_await world.scatter(ctx, me, a.volume, root);
+              break;
+          }
+          break;
+        }
       }
+      if (sink != nullptr) sink->on_phase_end(me, ctx.now());
+      diag.wait = RankDiag::Wait::None;
     }
-    if (sink != nullptr) sink->on_phase_end(me, ctx.now());
-    diag.last = a;
-    ++diag.completed;
-    diag.wait = RankDiag::Wait::None;
+    diag.carried = diag.batch.back();
+    diag.before += diag.batch.size();
+    diag.at = 0;
   }
 }
 

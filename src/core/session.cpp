@@ -82,4 +82,8 @@ ReplayResult replay(Backend backend, const tit::Trace& trace,
   return replay(backend, source, platform, config);
 }
 
+void bad_partner(int me, const tit::Action& a, const char* what) {
+  throw MalformedTraceError("p" + std::to_string(me) + ": " + what + ": " + tit::to_line(a));
+}
+
 }  // namespace tir::core

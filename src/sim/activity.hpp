@@ -62,6 +62,7 @@ struct Activity {
   SimTime heap_key = 0.0;  ///< projected completion time (heap ordering key)
   double remaining = 0.0;  ///< instructions or bytes left as of `anchor`
   double rate = 0.0;       ///< currently assigned rate
+  double due_eps = 0.0;    ///< kWorkEps / rate, cached with the rate (engine.cpp)
   SimTime anchor = 0.0;    ///< time `remaining` was last materialized
   std::uint64_t seq = 0;   ///< creation sequence (the heap's tiebreak)
   std::int32_t heap_slot = -1;  ///< index in the engine's time heap, -1 if absent

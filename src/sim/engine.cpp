@@ -193,6 +193,11 @@ void Engine::free_slot(Activity* a) {
   free_.push_back(a);
 }
 
+void Engine::set_rate(Activity* a, double rate) {
+  a->rate = rate;
+  a->due_eps = kWorkEps / rate;
+}
+
 void Engine::mark_core_dirty(std::int32_t core) {
   const auto c = static_cast<std::size_t>(core);
   if (core_dirty_[c] != 0) return;
@@ -211,7 +216,7 @@ void Engine::enroll_exec(Activity* a) {
   // everyone on the core, this activity included; either way the final
   // (heap_key, seq) state is identical, and the heap pops in that total
   // order, so the simulated schedule is unaffected.
-  a->rate = a->nominal_rate / load;
+  set_rate(a, a->nominal_rate / load);
   a->anchor = now_;
   a->heap_key = now_ + a->remaining / a->rate;
   heap_.insert(a);
@@ -313,7 +318,7 @@ void Engine::begin_transfer(Activity* a) {
   }
   if (config_.sharing == Sharing::Uncontended || a->route == nullptr) {
     // No contention model applies: the flow runs at its own bound forever.
-    a->rate = a->bw_bound;
+    set_rate(a, a->bw_bound);
     a->anchor = now_;
     const double duration = a->remaining / a->rate;
     a->heap_key = now_ + duration;
@@ -502,7 +507,7 @@ void Engine::retime(Activity* a, double new_rate) {
   // never changes is never touched between its start and its completion.
   a->remaining -= a->rate * (now_ - a->anchor);
   a->anchor = now_;
-  a->rate = new_rate;
+  set_rate(a, new_rate);
   a->heap_key = now_ + a->remaining / new_rate;
   heap_.update(a);
 }
@@ -562,19 +567,21 @@ void Engine::advance_to(double t) {
   const double time_slack = kTimeEps * std::max(1.0, now_);
   // Pop everything due at t.  "Due" keeps the historical tolerance: work
   // activities complete with up to kWorkEps residual (key within
-  // kWorkEps/rate of t), timers and latency phases within the relative
-  // time slack.  Completion mutates the heap and the running set, so due
-  // activities are collected first.
+  // kWorkEps/rate of t, the due_eps cached with the rate), timers and
+  // latency phases within the relative time slack.  The key is read from
+  // the heap entry, which mirrors heap_key.  Completion mutates the heap and
+  // the running set, so due activities are collected first.
   finished_.clear();
   while (!heap_.empty()) {
+    const double key = heap_.top_key();
+    if (key == kInf) break;  // freshly added flows park at infinity
     Activity* const a = heap_.top();
-    if (a->heap_key == kInf) break;  // freshly added flows park at infinity
-    const double limit = (a->kind == Activity::Kind::Timer || a->in_latency_phase())
-                             ? now_ + time_slack
-                             : now_ + kWorkEps / a->rate;
-    if (a->heap_key > limit) break;
+    const bool latency = a->in_latency_phase();
+    const double slack =
+        (a->kind == Activity::Kind::Timer || latency) ? time_slack : a->due_eps;
+    if (key > now_ + slack) break;
     heap_.pop();
-    if (a->in_latency_phase()) {
+    if (latency) {
       // Latency fully paid: the byte transfer starts now.  Under max-min
       // the new flow gets its rate at the next refresh.
       a->latency_left = 0.0;

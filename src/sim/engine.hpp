@@ -242,6 +242,8 @@ class Engine {
   void free_slot(Activity* a);
   void wake(const Waiter& w);
   void drop_wait_any_hold(WaitAnyState* state);
+  /// Assign a rate and cache its due tolerance (advance_to).
+  static void set_rate(Activity* a, double rate);
   void enroll_exec(Activity* a);
   void start_comm(Activity* a);
   void begin_transfer(Activity* a);

@@ -148,8 +148,32 @@ class TimeHeap {
     if (!sift_up(i)) sift_down(i);
   }
 
-  /// Remove the minimum-key activity.
-  void pop() { remove(heap_.front().act); }
+  /// Remove the minimum-key activity: its lane successor (whose key is not
+  /// smaller) or else the last entry takes the root and sifts down — the
+  /// same heap state remove(top) leaves, without its lookups.
+  void pop() {
+    Activity* const a = heap_.front().act;
+    a->heap_slot = -1;
+    if (a->lane >= 0) {
+      Lane& lane = lanes_[static_cast<std::size_t>(a->lane)];
+      a->lane = -1;
+      lane.pop_front();
+      if (lane.count > 0) {
+        heap_.front() = lane.front();
+        heap_.front().act->heap_slot = 0;
+        sift_down(0);
+        return;
+      }
+    }
+    if (heap_.size() == 1) {
+      heap_.pop_back();
+      return;
+    }
+    heap_.front() = heap_.back();
+    heap_.front().act->heap_slot = 0;
+    heap_.pop_back();
+    sift_down(0);
+  }
 
  private:
   struct Entry {
@@ -164,10 +188,10 @@ class TimeHeap {
     std::vector<Entry> ring;
     std::uint32_t head = 0;
     std::uint32_t count = 0;
+    std::uint32_t mask = 0;  ///< ring.size() - 1 once allocated
 
-    std::uint32_t mask() const { return static_cast<std::uint32_t>(ring.size()) - 1; }
-    Entry& at(std::uint32_t k) { return ring[(head + k) & mask()]; }
-    Entry& front() { return at(0); }
+    Entry& at(std::uint32_t k) { return ring[(head + k) & mask]; }
+    Entry& front() { return ring[head]; }
     Entry& back() { return at(count - 1); }
 
     void push_back(const Entry& e) {
@@ -176,13 +200,14 @@ class TimeHeap {
         for (std::uint32_t k = 0; k < count; ++k) grown[k] = at(k);
         ring.swap(grown);
         head = 0;
+        mask = static_cast<std::uint32_t>(ring.size()) - 1;
       }
       ++count;
       back() = e;
     }
 
     void pop_front() {
-      head = (head + 1) & mask();
+      head = (head + 1) & mask;
       --count;
     }
 

@@ -47,19 +47,21 @@ class PiecewiseModel {
     }
   }
 
-  double lat_factor(double size) const {
+  struct Factors {
+    double lat = 1.0;
+    double bw = 1.0;
+  };
+
+  /// Both factors for a message of `size` bytes, from one scan.
+  Factors factors(double size) const {
     for (const PiecewiseSegment& s : segments_) {
-      if (size < s.max_size) return s.lat_factor;
+      if (size < s.max_size) return {s.lat_factor, s.bw_factor};
     }
-    return 1.0;
+    return {};
   }
 
-  double bw_factor(double size) const {
-    for (const PiecewiseSegment& s : segments_) {
-      if (size < s.max_size) return s.bw_factor;
-    }
-    return 1.0;
-  }
+  double lat_factor(double size) const { return factors(size).lat; }
+  double bw_factor(double size) const { return factors(size).bw; }
 
   bool is_identity() const { return segments_.empty(); }
 

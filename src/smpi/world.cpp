@@ -62,9 +62,8 @@ void World::spawn_ranks(std::function<sim::Coro(sim::Ctx&, int)> body) {
 }
 
 sim::ActivityHandle World::make_transfer(int src, int dst, double bytes, bool start_now) {
-  const double lf = config_.piecewise.lat_factor(bytes);
-  const double bf = config_.piecewise.bw_factor(bytes);
-  return engine_.make_comm(rank_host(src), rank_host(dst), bytes, lf, bf, start_now);
+  const PiecewiseModel::Factors f = config_.piecewise.factors(bytes);
+  return engine_.make_comm(rank_host(src), rank_host(dst), bytes, f.lat, f.bw, start_now);
 }
 
 void World::fulfil(const Message& msg, const Request& request) {
@@ -101,7 +100,6 @@ Request World::isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag) {
   Message msg;
   msg.src = me;
   msg.tag = tag;
-  msg.bytes = bytes;
   msg.rendezvous = !is_eager(bytes);
   if (msg.rendezvous) {
     ++stats_.rendezvous_sends;
@@ -118,17 +116,13 @@ Request World::isend(sim::Ctx& ctx, int me, int dst, double bytes, int tag) {
 
   // MPI matching: earliest posted receive that accepts (src, tag).
   RankState& peer = ranks_[static_cast<std::size_t>(dst)];
-  for (auto it = peer.posted.begin(); it != peer.posted.end(); ++it) {
-    const bool src_ok = it->src == kAnySource || it->src == me;
-    const bool tag_ok = it->tag == kAnyTag || it->tag == tag;
+  for (std::size_t k = 0; k < peer.posted.size(); ++k) {
+    const PostedRecv& posted = peer.posted[k];
+    const bool src_ok = posted.src == kAnySource || posted.src == me;
+    const bool tag_ok = posted.tag == kAnyTag || posted.tag == tag;
     if (src_ok && tag_ok) {
-      fulfil(msg, it->request);
-      // Matches are almost always at the head of the queue.
-      if (it == peer.posted.begin()) {
-        peer.posted.pop_front();
-      } else {
-        peer.posted.erase(it);
-      }
+      fulfil(msg, posted.request);
+      peer.posted.erase(k);
       return req;
     }
   }
@@ -144,17 +138,14 @@ Request World::irecv(sim::Ctx& ctx, int me, int src, double bytes, int tag) {
   // Earliest matching unexpected message wins (FIFO per source and tag).
   // On a match the transfer itself is the request — waiting on the comm is
   // equivalent to a gate chained to it, without the per-message gate.
-  for (auto it = mine.unexpected.begin(); it != mine.unexpected.end(); ++it) {
-    const bool src_ok = src == kAnySource || src == it->src;
-    const bool tag_ok = tag == kAnyTag || tag == it->tag;
+  for (std::size_t k = 0; k < mine.unexpected.size(); ++k) {
+    const Message& msg = mine.unexpected[k];
+    const bool src_ok = src == kAnySource || src == msg.src;
+    const bool tag_ok = tag == kAnyTag || tag == msg.tag;
     if (src_ok && tag_ok) {
-      if (it->rendezvous) engine_.start_activity(it->comm);
-      const Request req = it->comm;
-      if (it == mine.unexpected.begin()) {
-        mine.unexpected.pop_front();
-      } else {
-        mine.unexpected.erase(it);
-      }
+      if (msg.rendezvous) engine_.start_activity(msg.comm);
+      const Request req = msg.comm;
+      mine.unexpected.erase(k);
       return req;
     }
   }

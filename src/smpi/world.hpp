@@ -15,7 +15,6 @@
 // (World::spawn_ranks sets it up for the common case).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <vector>
 
@@ -97,18 +96,54 @@ class World {
   struct Message {
     int src = 0;
     int tag = 0;
-    double bytes = 0.0;
-    bool rendezvous = false;
     sim::ActivityHandle comm;  ///< pending (not started) when rendezvous
+    bool rendezvous = false;
   };
   struct PostedRecv {
     int src = kAnySource;
     int tag = kAnyTag;
     Request request;  ///< completed when the matched transfer completes
   };
+  /// A matching queue: a FIFO in a power-of-two ring over one flat vector.
+  /// Scans walk it in queue order; a match is removed in place, at the head
+  /// (the common case) by advancing it, elsewhere by closing the gap.  The
+  /// ring only grows, to the queue's peak length.
+  template <class T>
+  class MatchQueue {
+   public:
+    std::size_t size() const { return count_; }
+    T& operator[](std::size_t k) { return ring_[(head_ + k) & mask_]; }
+
+    void push_back(const T& v) {
+      if (count_ == ring_.size()) {
+        std::vector<T> grown(ring_.empty() ? 8 : 2 * ring_.size());
+        for (std::size_t k = 0; k < count_; ++k) grown[k] = (*this)[k];
+        ring_.swap(grown);
+        head_ = 0;
+        mask_ = ring_.size() - 1;
+      }
+      ring_[(head_ + count_++) & mask_] = v;
+    }
+
+    /// Remove the k-th element, keeping the others in order.
+    void erase(std::size_t k) {
+      if (k == 0) {
+        head_ = (head_ + 1) & mask_;
+      } else {
+        for (; k + 1 < count_; ++k) (*this)[k] = (*this)[k + 1];
+      }
+      --count_;
+    }
+
+   private:
+    std::vector<T> ring_;
+    std::size_t head_ = 0;
+    std::size_t count_ = 0;
+    std::size_t mask_ = 0;
+  };
   struct RankState {
-    std::deque<Message> unexpected;
-    std::deque<PostedRecv> posted;
+    MatchQueue<Message> unexpected;
+    MatchQueue<PostedRecv> posted;
   };
 
   bool is_eager(double bytes) const { return bytes < config_.eager_threshold; }

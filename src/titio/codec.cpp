@@ -22,14 +22,6 @@ void put_f64(std::vector<std::uint8_t>& out, double v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
 }
 
-double get_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
-  if (pos + 8 > size) throw ParseError("truncated double in action payload");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
-  pos += 8;
-  return std::bit_cast<double>(bits);
-}
-
 }  // namespace
 
 void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a) {
@@ -64,38 +56,24 @@ void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a) {
   }
 }
 
-tit::Action decode_action(const std::uint8_t* payload, std::size_t size, std::size_t& pos,
-                          std::int32_t rank) {
-  if (pos + 2 > size) throw ParseError("truncated action header in frame payload");
-  const std::uint8_t type = payload[pos++];
-  const std::uint8_t flags = payload[pos++];
-  if (type > static_cast<std::uint8_t>(tit::ActionType::Scatter)) {
-    throw ParseError("unknown action type " + std::to_string(type) + " in binary trace");
-  }
-  if ((flags & kVolumeNone) && (flags & kHasVolume)) {
-    throw ParseError("contradictory volume flags in binary trace");
-  }
-  tit::Action a;
-  a.type = static_cast<tit::ActionType>(type);
-  a.proc = rank;
-  if (flags & kHasPartner) {
-    const std::uint64_t partner = binio::get_varint(payload, size, pos);
-    if (partner > 0x7FFFFFFFull) throw ParseError("partner rank out of range in binary trace");
-    a.partner = static_cast<std::int32_t>(partner);
-  }
-  if (flags & kVolumeNone) {
-    a.volume = tit::kNoVolume;
-  } else if (flags & kHasVolume) {
-    a.volume = (flags & kVolumeF64)
-                   ? get_f64(payload, size, pos)
-                   : static_cast<double>(binio::get_varint(payload, size, pos));
-  }
-  if (flags & kHasVolume2) {
-    a.volume2 = (flags & kVolume2F64)
-                    ? get_f64(payload, size, pos)
-                    : static_cast<double>(binio::get_varint(payload, size, pos));
-  }
-  return a;
+namespace detail {
+
+void throw_truncated_header() {
+  throw ParseError("truncated action header in frame payload");
 }
+
+void throw_unknown_type(std::uint8_t type) {
+  throw ParseError("unknown action type " + std::to_string(type) + " in binary trace");
+}
+
+void throw_contradictory_flags() {
+  throw ParseError("contradictory volume flags in binary trace");
+}
+
+void throw_partner_range() { throw ParseError("partner rank out of range in binary trace"); }
+
+void throw_truncated_double() { throw ParseError("truncated double in action payload"); }
+
+}  // namespace detail
 
 }  // namespace tir::titio

@@ -40,10 +40,12 @@
 // fractional/huge value and elide absent fields entirely.
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
+#include "base/binio.hpp"
 #include "tit/action.hpp"
 
 namespace tir::titio {
@@ -84,9 +86,59 @@ struct FrameRef {
 /// Append one action (proc implied by the enclosing frame's rank).
 void encode_action(std::vector<std::uint8_t>& out, const tit::Action& a);
 
+namespace detail {
+// The decoder's error paths, out of line so the inline decoder stays small.
+[[noreturn]] void throw_truncated_header();
+[[noreturn]] void throw_unknown_type(std::uint8_t type);
+[[noreturn]] void throw_contradictory_flags();
+[[noreturn]] void throw_partner_range();
+[[noreturn]] void throw_truncated_double();
+
+inline double get_f64(const std::uint8_t* data, std::size_t size, std::size_t& pos) {
+  if (pos + 8 > size) throw_truncated_double();
+  std::uint64_t bits = 0;
+  for (int i = 0; i < 8; ++i) bits |= static_cast<std::uint64_t>(data[pos + i]) << (8 * i);
+  pos += 8;
+  return std::bit_cast<double>(bits);
+}
+
+inline double get_volume(const std::uint8_t* data, std::size_t size, std::size_t& pos,
+                         bool raw_f64) {
+  return raw_f64 ? get_f64(data, size, pos)
+                 : static_cast<double>(binio::get_varint(data, size, pos));
+}
+}  // namespace detail
+
 /// Decode one action from payload[pos...), advancing pos. The issuing rank
-/// comes from the frame. Throws tir::ParseError on malformed bytes.
-tit::Action decode_action(const std::uint8_t* payload, std::size_t size, std::size_t& pos,
-                          std::int32_t rank);
+/// comes from the frame. Throws tir::ParseError on malformed bytes.  Inline:
+/// it runs once per action of every streamed replay.
+inline tit::Action decode_action(const std::uint8_t* payload, std::size_t size,
+                                 std::size_t& pos, std::int32_t rank) {
+  if (pos + 2 > size) detail::throw_truncated_header();
+  const std::uint8_t type = payload[pos];
+  const std::uint8_t flags = payload[pos + 1];
+  pos += 2;
+  if (type > static_cast<std::uint8_t>(tit::ActionType::Scatter)) {
+    detail::throw_unknown_type(type);
+  }
+  if ((flags & kVolumeNone) && (flags & kHasVolume)) detail::throw_contradictory_flags();
+  tit::Action a;
+  a.type = static_cast<tit::ActionType>(type);
+  a.proc = rank;
+  if (flags & kHasPartner) {
+    const std::uint64_t partner = binio::get_varint(payload, size, pos);
+    if (partner > 0x7FFFFFFFull) detail::throw_partner_range();
+    a.partner = static_cast<std::int32_t>(partner);
+  }
+  if (flags & kVolumeNone) {
+    a.volume = tit::kNoVolume;
+  } else if (flags & kHasVolume) {
+    a.volume = detail::get_volume(payload, size, pos, (flags & kVolumeF64) != 0);
+  }
+  if (flags & kHasVolume2) {
+    a.volume2 = detail::get_volume(payload, size, pos, (flags & kVolume2F64) != 0);
+  }
+  return a;
+}
 
 }  // namespace tir::titio

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "base/binio.hpp"
 #include "base/error.hpp"
@@ -286,7 +287,7 @@ bool Reader::advance_frame(int rank, Cursor& cursor) {
     }
     cursor.pos = 0;
     cursor.remaining = frame.actions;
-    cursor.batch.clear();
+    cursor.batch_len = 0;
     cursor.batch_pos = 0;
     cursor.defer = nullptr;
     cursor.trailing = false;
@@ -314,51 +315,38 @@ bool Reader::advance_frame(int rank, Cursor& cursor) {
 }
 
 void Reader::fill_batch(int rank, Cursor& cursor) {
-  cursor.batch.clear();
+  cursor.batch_len = 0;
   cursor.batch_pos = 0;
   if (cursor.remaining == 0) return;
-  const std::uint64_t want = std::min<std::uint64_t>(
-      cursor.remaining, std::max<std::size_t>(options_.decode_batch, 1));
+  const auto want = static_cast<std::size_t>(std::min<std::uint64_t>(
+      cursor.remaining, std::max<std::size_t>(options_.decode_batch, 1)));
+  if (cursor.batch.size() < want) cursor.batch.resize(want);
+  const std::uint8_t* const data = cursor.payload.data();
+  const std::size_t size = cursor.payload.size();
+  tit::Action* const out = cursor.batch.data();
+  std::size_t pos = cursor.pos;
+  std::size_t n = 0;
   try {
-    for (std::uint64_t i = 0; i < want; ++i) {
-      cursor.batch.push_back(decode_action(cursor.payload.data(), cursor.payload.size(),
-                                           cursor.pos, static_cast<std::int32_t>(rank)));
-    }
+    for (; n < want; ++n) out[n] = decode_action(data, size, pos, static_cast<std::int32_t>(rank));
   } catch (const Error&) {
     // Keep the cleanly decoded prefix; the error surfaces once it is served.
     cursor.defer = std::current_exception();
   }
+  cursor.pos = pos;
+  cursor.batch_len = n;
   // Decoded the frame's final action with bytes left over: flag it so the
   // trailing-bytes diagnostic fires at that action's delivery, exactly where
   // unbatched decoding reported it.
-  if (cursor.defer == nullptr && cursor.batch.size() == cursor.remaining &&
-      cursor.pos != cursor.payload.size()) {
-    cursor.trailing = true;
-  }
+  if (cursor.defer == nullptr && n == cursor.remaining && pos != size) cursor.trailing = true;
 }
 
-bool Reader::next(int rank, tit::Action& out) {
+std::span<const tit::Action> Reader::take(int rank, std::size_t max) {
   if (rank < 0 || rank >= nprocs_) {
     throw Error("rank p" + std::to_string(rank) + " out of range (nprocs=" +
                 std::to_string(nprocs_) + "): " + path_);
   }
   Cursor& cursor = cursors_[static_cast<std::size_t>(rank)];
-  for (;;) {
-    if (cursor.batch_pos < cursor.batch.size()) {
-      out = cursor.batch[cursor.batch_pos++];
-      --cursor.remaining;
-      if (cursor.remaining == 0 && cursor.trailing) {
-        cursor.trailing = false;
-        if (!options_.recover) {
-          throw ParseError("frame payload size disagrees with its action count (rank p" +
-                           std::to_string(rank) + "): " + path_);
-        }
-        // Recovery: the delivered actions decoded cleanly; note the frame as
-        // damaged (trailing bytes) without retracting them.
-        ++skipped_frames_;
-      }
-      return true;
-    }
+  while (cursor.batch_pos == cursor.batch_len) {
     if (cursor.defer != nullptr) {
       // The CRC passed but the payload stopped decoding (a writer bug or a
       // collision-masked corruption) right after the actions already served:
@@ -369,20 +357,52 @@ bool Reader::next(int rank, tit::Action& out) {
       count_skip(rank, cursor.remaining);
       cursor.remaining = 0;
     }
-    if (cursor.remaining == 0) {
-      if (!advance_frame(rank, cursor)) {
-        // Stream exhausted: release this cursor's buffers.
-        account(-static_cast<std::ptrdiff_t>(cursor.payload.capacity() +
-                                             cursor.prefetched.capacity()));
-        release(cursor.payload);
-        release(cursor.prefetched);
-        std::vector<tit::Action>().swap(cursor.batch);
-        cursor.batch_pos = 0;
-        return false;
-      }
+    if (cursor.remaining == 0 && !advance_frame(rank, cursor)) {
+      // Stream exhausted: release this cursor's buffers.
+      account(-static_cast<std::ptrdiff_t>(cursor.payload.capacity() +
+                                           cursor.prefetched.capacity()));
+      release(cursor.payload);
+      release(cursor.prefetched);
+      std::vector<tit::Action>().swap(cursor.batch);
+      cursor.batch_len = 0;
+      cursor.batch_pos = 0;
+      return {};
     }
     fill_batch(rank, cursor);
   }
+  const tit::Action* const first = cursor.batch.data() + cursor.batch_pos;
+  std::size_t n = std::min(max, cursor.batch_len - cursor.batch_pos);
+  if (cursor.trailing && n == cursor.remaining) {
+    // This delivery ends a frame that has bytes after its last action.
+    if (options_.recover) {
+      // The delivered actions decoded cleanly; note the frame as damaged
+      // without retracting them.
+      cursor.trailing = false;
+      ++skipped_frames_;
+    } else if (n > 1) {
+      --n;  // hold the last action back: the pull that reaches it throws
+    } else {
+      cursor.trailing = false;
+      ++cursor.batch_pos;
+      --cursor.remaining;
+      throw ParseError("frame payload size disagrees with its action count (rank p" +
+                       std::to_string(rank) + "): " + path_);
+    }
+  }
+  cursor.batch_pos += n;
+  cursor.remaining -= n;
+  return {first, n};
+}
+
+bool Reader::next(int rank, tit::Action& out) {
+  const std::span<const tit::Action> one = take(rank, 1);
+  if (one.empty()) return false;
+  out = one.front();
+  return true;
+}
+
+std::span<const tit::Action> Reader::next_batch(int rank) {
+  return take(rank, std::numeric_limits<std::size_t>::max());
 }
 
 std::uint64_t Reader::content_hash() {

@@ -52,6 +52,11 @@ class Reader final : public ActionSource {
 
   int nprocs() const override { return nprocs_; }
   bool next(int rank, tit::Action& out) override;
+  /// Serves the rest of the rank's decoded batch (at most decode_batch
+  /// actions, never past a frame).  A frame with trailing bytes keeps its
+  /// last action back in strict mode, so the ParseError still replaces
+  /// exactly that action.
+  std::span<const tit::Action> next_batch(int rank) override;
 
   std::uint64_t total_actions() const { return total_actions_; }
   /// TITB format version of the file (1 or 2; format.hpp).
@@ -106,12 +111,14 @@ class Reader final : public ActionSource {
     bool has_prefetch = false;
 
     // Batched decode (ReaderOptions::decode_batch): actions decoded ahead
-    // of delivery from the current frame.  `defer` holds a decode error hit
+    // of delivery from the current frame, in place into `batch`, whose
+    // first `batch_len` entries are valid.  `defer` holds a decode error hit
     // while filling the batch, re-raised only once the cleanly decoded
     // prefix has been served — exactly when unbatched decoding would have
     // hit it.  `trailing` likewise defers the trailing-bytes check to the
-    // delivery of the frame's last action.
+    // delivery of the frame's last action (the batch's last entry).
     std::vector<tit::Action> batch;
+    std::size_t batch_len = 0;
     std::size_t batch_pos = 0;
     std::exception_ptr defer;
     bool trailing = false;
@@ -120,6 +127,9 @@ class Reader final : public ActionSource {
   void read_payload(const FrameRef& frame, std::vector<std::uint8_t>& payload);
   bool advance_frame(int rank, Cursor& cursor);
   void fill_batch(int rank, Cursor& cursor);
+  /// Serve up to `max` (>= 1) decoded actions of `rank`; empty at the end of
+  /// its stream.  The one delivery path behind next() and next_batch().
+  std::span<const tit::Action> take(int rank, std::size_t max);
   void account(std::ptrdiff_t delta);
   void drop_prefetches();
   void count_skip(int rank, std::uint64_t actions);

@@ -55,6 +55,14 @@ class SharedTrace {
       return true;
     }
 
+    std::span<const tit::Action> next_batch(int rank) override {
+      const std::vector<tit::Action>& seq = trace_->actions(rank);
+      std::size_t& i = pos_[static_cast<std::size_t>(rank)];
+      const std::span<const tit::Action> rest(seq.data() + i, seq.size() - i);
+      i = seq.size();
+      return rest;
+    }
+
     /// Actions the shared load dropped to corrupt-frame recovery; every
     /// cursor reports them so each session's ReplayResult::degraded flag
     /// reflects the state of the one decoded copy.

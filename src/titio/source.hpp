@@ -6,9 +6,15 @@
 // interface is one per-rank cursor: `next(rank, out)`.  The engines no
 // longer care whether the actions live in RAM (MemorySource over the
 // classic tit::Trace) or stream off disk a frame at a time (titio::Reader).
+//
+// The replay loops pull with next_batch(rank) instead: one virtual call per
+// run of actions, served as a span straight out of the source's own storage
+// (a MemorySource hands out the rest of the rank's vector, a Reader its
+// decoded batch), so the hot path neither dispatches nor copies per action.
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "base/error.hpp"
@@ -26,6 +32,14 @@ class ActionSource {
   /// exhausted. Ranks have independent cursors and may be pulled in any
   /// interleaving (the engines interleave them per simulated event).
   virtual bool next(int rank, tit::Action& out) = 0;
+
+  /// Pull `rank`'s next run of actions; empty once that rank's stream is
+  /// exhausted.  The span stays valid until the next pull (next, next_batch),
+  /// rewind or seek of the same rank; pulls of other ranks never disturb it.
+  /// The two pulls share one cursor and may be mixed: concatenated spans
+  /// equal the next() sequence, and an error surfaces at the same action
+  /// index (the pull that would have delivered the failing action throws).
+  virtual std::span<const tit::Action> next_batch(int rank) = 0;
 
   /// Actions known to exist but not delivered because the source dropped
   /// damaged data (corrupt-frame recovery). Replay surfaces this as
@@ -96,9 +110,9 @@ class MemorySource final : public ActionSource {
  public:
   explicit MemorySource(const tit::Trace& trace)
       : trace_(trace), pos_(static_cast<std::size_t>(trace.nprocs()), 0) {
-    // Per-rank sequences resolved once: next() is called once per replayed
-    // action, and the trace is fully materialized (and must not be mutated
-    // while this source reads it), so the lookup would be pure overhead.
+    // Per-rank sequences resolved once: the trace is fully materialized
+    // (and must not be mutated while this source reads it), so a per-pull
+    // lookup would be pure overhead.
     seqs_.reserve(pos_.size());
     for (int r = 0; r < trace.nprocs(); ++r) seqs_.push_back(&trace.actions(r));
   }
@@ -111,6 +125,14 @@ class MemorySource final : public ActionSource {
     if (i >= seq.size()) return false;
     out = seq[i++];
     return true;
+  }
+
+  std::span<const tit::Action> next_batch(int rank) override {
+    const std::vector<tit::Action>& seq = *seqs_[static_cast<std::size_t>(rank)];
+    std::size_t& i = pos_[static_cast<std::size_t>(rank)];
+    const std::span<const tit::Action> rest(seq.data() + i, seq.size() - i);
+    i = seq.size();
+    return rest;
   }
 
   void rewind() override { pos_.assign(pos_.size(), 0); }

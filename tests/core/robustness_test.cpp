@@ -4,8 +4,13 @@
 // the watchdog bounds wall-clock time.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+
 #include "core/replay.hpp"
 #include "platform/clusters.hpp"
+#include "support/temp_dir.hpp"
+#include "titio/reader.hpp"
+#include "titio/writer.hpp"
 
 namespace tir::core {
 namespace {
@@ -115,6 +120,34 @@ TEST(Robustness, PartnerOutOfRangeFailsFastOnBothBackends) {
   const platform::Platform p = cluster(2);
   EXPECT_THROW(replay_smpi(t, p, identity_config()), MalformedTraceError);
   EXPECT_THROW(replay_msg(t, p, identity_config()), MalformedTraceError);
+}
+
+TEST(Robustness, StreamedRootOutOfRangeFailsFastOnBothBackends) {
+  // A streamed trace skips the static validator, so the replay loops are
+  // the first to see a collective's root: a bad one is a malformed trace on
+  // either back-end, never an internal assertion deep in the collective.
+  tit::Trace t(4);
+  for (int r = 0; r < 4; ++r) {
+    t.push({tit::ActionType::Compute, r, -1, 1e6, 0.0});
+    t.push({tit::ActionType::Bcast, r, 9, 1024.0, 0.0});
+  }
+  const std::filesystem::path dir = test::unique_temp_dir("robust_root");
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "bad_root.titb").string();
+  titio::write_binary_trace(t, path);
+  const platform::Platform p = cluster(4);
+  for (const Backend backend : {Backend::Smpi, Backend::Msg}) {
+    titio::Reader reader(path);
+    try {
+      replay(backend, reader, p, identity_config());
+      FAIL() << "expected MalformedTraceError";
+    } catch (const MalformedTraceError& e) {
+      EXPECT_EQ(e.code(), ErrorCode::MalformedTrace);
+      EXPECT_TRUE(contains(e.what(), "root out of range")) << e.what();
+      EXPECT_TRUE(contains(e.what(), "bcast")) << e.what();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(Robustness, WaitWithoutRequestIsMalformedTrace) {

@@ -2,6 +2,11 @@
 // wildcards, requests, copy-time modelling.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <deque>
+#include <map>
+
+#include "base/rng.hpp"
 #include "platform/clusters.hpp"
 #include "smpi/world.hpp"
 
@@ -282,6 +287,151 @@ TEST(SmpiP2p, StatsCountTraffic) {
   EXPECT_EQ(w.stats().eager_sends, 1u);
   EXPECT_EQ(w.stats().rendezvous_sends, 1u);
   EXPECT_DOUBLE_EQ(w.stats().bytes_sent, 1024.0 + 1e6);
+}
+
+// ---------- MPI matching against a reference model --------------------------
+
+/// Reference matcher: the two-deque algorithm, kept here verbatim as the
+/// oracle for World's queues.  Per destination rank, an unexpected-message
+/// FIFO and a posted-receive FIFO: a send matches the earliest posted
+/// receive that accepts (src, tag), a receive the earliest arrived message
+/// it accepts (so ANY_SOURCE takes the earliest arrival), and whatever
+/// finds no match is queued at the back.
+class ReferenceMatcher {
+ public:
+  explicit ReferenceMatcher(int nprocs)
+      : unexpected_(static_cast<std::size_t>(nprocs)), posted_(static_cast<std::size_t>(nprocs)) {}
+
+  void isend(int me, int dst, int tag, int send_id) {
+    std::deque<Entry>& q = posted_[static_cast<std::size_t>(dst)];
+    for (auto it = q.begin(); it != q.end(); ++it) {
+      if ((it->peer == kAnySource || it->peer == me) && (it->tag == kAnyTag || it->tag == tag)) {
+        match_[it->id] = send_id;
+        q.erase(it);
+        return;
+      }
+    }
+    unexpected_[static_cast<std::size_t>(dst)].push_back(Entry{me, tag, send_id});
+  }
+
+  void irecv(int me, int src, int tag, int recv_id) {
+    std::deque<Entry>& q = unexpected_[static_cast<std::size_t>(me)];
+    for (auto it = q.begin(); it != q.end(); ++it) {
+      if ((src == kAnySource || src == it->peer) && (tag == kAnyTag || tag == it->tag)) {
+        match_[recv_id] = it->id;
+        q.erase(it);
+        return;
+      }
+    }
+    posted_[static_cast<std::size_t>(me)].push_back(Entry{src, tag, recv_id});
+  }
+
+  /// Receive id -> the send id it matched (unmatched receives are absent).
+  const std::map<int, int>& matches() const { return match_; }
+
+ private:
+  struct Entry {
+    int peer;  ///< source of a message / accepted source of a receive
+    int tag;
+    int id;
+  };
+  std::vector<std::deque<Entry>> unexpected_;
+  std::vector<std::deque<Entry>> posted_;
+  std::map<int, int> match_;
+};
+
+TEST(SmpiP2p, RandomIsendIrecvSequencesMatchTheReferenceMatcher) {
+  // Seeded sequences of isend/irecv calls, all at t=0, over 4 ranks with
+  // specific, ANY_SOURCE and ANY_TAG receives and both protocols.  Every
+  // send carries a distinct size, so a matched receive completes at a time
+  // (route latency + size / bandwidth) that names the send it matched.
+  constexpr int kRanks = 4;
+  constexpr int kOps = 48;
+  constexpr double kLatency = 2e-4;   // two links of quad()
+  constexpr double kBandwidth = 1e8;  // identity piecewise model
+  const platform::Platform p = quad();
+  int matched_total = 0;
+  int unmatched_total = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    rng::Sequence rand(seed);
+    struct Op {
+      bool send;
+      int me, peer, tag, id;
+      double bytes;
+    };
+    std::vector<Op> ops;
+    std::vector<double> send_bytes;
+    int recvs = 0;
+    for (int i = 0; i < kOps; ++i) {
+      Op op{};
+      op.send = rand.next_u64() % 2 == 0;
+      op.me = static_cast<int>(rand.next_u64() % kRanks);
+      op.peer = (op.me + 1 + static_cast<int>(rand.next_u64() % (kRanks - 1))) % kRanks;
+      op.tag = static_cast<int>(rand.next_u64() % 3);
+      if (op.send) {
+        op.id = static_cast<int>(send_bytes.size());
+        const bool rendezvous = rand.next_u64() % 4 == 0;
+        op.bytes = 1000.0 * (op.id + 1) + (rendezvous ? 100000.0 : 0.0);
+        send_bytes.push_back(op.bytes);
+      } else {
+        op.id = recvs++;
+        if (rand.next_u64() % 4 == 0) op.peer = kAnySource;
+        if (rand.next_u64() % 4 == 0) op.tag = kAnyTag;
+      }
+      ops.push_back(op);
+    }
+    ReferenceMatcher ref(kRanks);
+    for (const Op& op : ops) {
+      if (op.send) {
+        ref.isend(op.me, op.peer, op.tag, op.id);
+      } else {
+        ref.irecv(op.me, op.peer, op.tag, op.id);
+      }
+    }
+
+    sim::Engine eng(p);
+    World w(eng, plain_config(), hosts_for(kRanks), {0, 0, 0, 0});
+    std::vector<Request> recv_reqs(static_cast<std::size_t>(recvs));
+    std::map<int, double> done_at;  // receive id -> completion time
+    eng.spawn("ops", 0, 0, [&](sim::Ctx& ctx) -> sim::Coro {
+      for (const Op& op : ops) {
+        if (op.send) {
+          (void)w.isend(ctx, op.me, op.peer, op.bytes, op.tag);
+        } else {
+          recv_reqs[static_cast<std::size_t>(op.id)] = w.irecv(ctx, op.me, op.peer, 0.0, op.tag);
+        }
+      }
+      // Await the receives the reference matched, in completion order.
+      std::vector<Request> pending;
+      std::vector<int> ids;
+      for (const auto& [recv_id, send_id] : ref.matches()) {
+        pending.push_back(recv_reqs[static_cast<std::size_t>(recv_id)]);
+        ids.push_back(recv_id);
+      }
+      while (!pending.empty()) {
+        const auto k = static_cast<std::size_t>(co_await w.waitany(ctx, pending));
+        done_at[ids[k]] = ctx.now();
+        pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(k));
+        ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(k));
+      }
+    });
+    ASSERT_NO_THROW(eng.run()) << "seed " << seed;
+    for (const auto& [recv_id, send_id] : ref.matches()) {
+      const double want = kLatency + send_bytes[static_cast<std::size_t>(send_id)] / kBandwidth;
+      EXPECT_NEAR(done_at[recv_id], want, 1e-9)
+          << "seed " << seed << ": receive " << recv_id << " should match send " << send_id;
+      ++matched_total;
+    }
+    for (int r = 0; r < recvs; ++r) {
+      if (ref.matches().count(r) != 0) continue;
+      EXPECT_FALSE(recv_reqs[static_cast<std::size_t>(r)].done())
+          << "seed " << seed << ": receive " << r << " should stay unmatched";
+      ++unmatched_total;
+    }
+  }
+  // The generator exercises both outcomes, not just one.
+  EXPECT_GT(matched_total, 1000);
+  EXPECT_GT(unmatched_total, 100);
 }
 
 }  // namespace
